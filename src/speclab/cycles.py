@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import MismatchedRL, NonIntegerElement
+from .errors import ExactCheckFailed, MismatchedRL, NonIntegerElement
 from .linalg import as_int_vector, mat_pow, rat_solve
 from .triples import (HadamardTriple, cycle_containment_radius,
                       mask_is_extreme_at, tau_exact)
@@ -92,7 +92,9 @@ def fixed_point_of_word(t: HadamardTriple, word: Sequence) -> RatPoint:
     y = x
     for l in reversed(ls):
         y = tau_exact(t.R, l, y)
-    assert y == x, "fixed-point verification failed"
+    if y != x:
+        raise ExactCheckFailed(
+            f"fixed point {x} of word {ls} is not reproduced by the dual maps")
     return x
 
 

@@ -26,17 +26,19 @@ from .spectra import SpectrumGenerator, check_spectrum, qp_eval, window_notes
 from .triples import HadamardTriple
 
 
+def _word(n_letters: int, length: int, seed: int, k: int) -> tuple[int, ...]:
+    """Word k of an ensemble, drawn from the stream seeded by (seed, k)."""
+    rng = np.random.default_rng([seed, k])
+    return tuple(int(x) for x in rng.integers(0, n_letters, size=length))
+
+
 def sample_words(n_letters: int, length: int, count: int,
                  seed: int = 0) -> list[tuple[int, ...]]:
     """count uniform words over {0..n_letters-1}; word k comes from the
     stream seeded by (seed, k)."""
     if n_letters < 1 or length < 1 or count < 1:
         raise ValueError("need n_letters, length, count >= 1")
-    out = []
-    for k in range(count):
-        rng = np.random.default_rng([seed, k])
-        out.append(tuple(int(x) for x in rng.integers(0, n_letters, size=length)))
-    return out
+    return [_word(n_letters, length, seed, k) for k in range(count)]
 
 
 @dataclass
@@ -113,34 +115,30 @@ class EnsembleReport:
         return lines
 
 
-def _spectrum_sample(cfg: EnsembleConfig, k: int) -> SampleVerdict:
-    rng = np.random.default_rng([cfg.seed, k])
-    word = tuple(int(x) for x in rng.integers(0, len(cfg.triples),
-                                              size=cfg.word_length))
+def _sample(cfg: EnsembleConfig, check, k: int) -> SampleVerdict:
+    """Verdict for word k; check(sys) gives (passed, min_q, max_q)."""
+    word = _word(len(cfg.triples), cfg.word_length, cfg.seed, k)
     try:
-        sys = random_word(cfg.triples, word, tail=cfg.tail)
-        rep = check_spectrum(sys, cfg.generator, cfg.grid, window=cfg.window,
-                             eps_complete=cfg.eps_complete,
-                             eps_orth=cfg.eps_orth, pol=cfg.policy)
-        return SampleVerdict(k, word, rep.passed, rep.min_q, rep.max_q)
+        passed, min_q, max_q = check(random_word(cfg.triples, word, tail=cfg.tail))
+        return SampleVerdict(k, word, passed, min_q, max_q)
     except Exception as exc:  # recorded, not fatal
         return SampleVerdict(k, word, False, float("nan"), float("nan"),
                              error=f"{type(exc).__name__}: {exc}")
 
 
-def _tiling_sample(cfg: EnsembleConfig, basis, tol: float, k: int) -> SampleVerdict:
-    rng = np.random.default_rng([cfg.seed, k])
-    word = tuple(int(x) for x in rng.integers(0, len(cfg.triples),
-                                              size=cfg.word_length))
-    try:
-        sys = random_word(cfg.triples, word, tail=cfg.tail)
-        rep = lattice_tiling_check(sys, basis, window=cfg.window,
-                                   pol=cfg.policy, tol=tol)
-        return SampleVerdict(k, word, rep.passed, rep.max_offlattice_mass,
-                             rep.max_offlattice_mass)
-    except Exception as exc:
-        return SampleVerdict(k, word, False, float("nan"), float("nan"),
-                             error=f"{type(exc).__name__}: {exc}")
+def _spectrum_check(cfg: EnsembleConfig, sys) -> tuple[bool, float, float]:
+    rep = check_spectrum(sys, cfg.generator, cfg.grid, window=cfg.window,
+                         eps_complete=cfg.eps_complete, eps_orth=cfg.eps_orth,
+                         pol=cfg.policy)
+    return rep.passed, rep.min_q, rep.max_q
+
+
+def _tiling_check(cfg: EnsembleConfig, basis, tol: float,
+                  sys) -> tuple[bool, float, float]:
+    """The off-lattice mass stands in for both min_q and max_q."""
+    rep = lattice_tiling_check(sys, basis, window=cfg.window, pol=cfg.policy,
+                               tol=tol)
+    return rep.passed, rep.max_offlattice_mass, rep.max_offlattice_mass
 
 
 def _run_samples(runner, cfg: EnsembleConfig) -> list[SampleVerdict]:
@@ -168,7 +166,8 @@ def _aggregate(kind: str, cfg: EnsembleConfig,
 
 def ensemble_spectrum_report(cfg: EnsembleConfig) -> EnsembleReport:
     """check_spectrum over `samples` random words; order-independent."""
-    runner = functools.partial(_spectrum_sample, cfg)
+    runner = functools.partial(
+        _sample, cfg, functools.partial(_spectrum_check, cfg))
     rep = _aggregate("ensemble_spectrum", cfg, _run_samples(runner, cfg))
     rep.notes = window_notes(cfg.generator, cfg.window, rep.min_q_min,
                              cfg.eps_complete)
@@ -186,7 +185,8 @@ def ensemble_tiling_report(cfg: EnsembleConfig, basis,
         if not is_complete_residue_set(t.R, t.B.vectors):
             raise NotCompleteResidue(
                 f"digit set {t.B.vectors} is not a complete residue system")
-    runner = functools.partial(_tiling_sample, cfg, basis, tol)
+    runner = functools.partial(
+        _sample, cfg, functools.partial(_tiling_check, cfg, basis, tol))
     return _aggregate("ensemble_tiling", cfg, _run_samples(runner, cfg))
 
 

@@ -39,3 +39,7 @@ class NonIntegerElement(SpeclabError):
 
 class NotCompleteResidue(SpeclabError):
     """A digit set expected to be a complete residue system is not."""
+
+
+class ExactCheckFailed(SpeclabError):
+    """An exact re-check of a computed result disagreed with it."""

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotContractive, SingularMatrix
+from .errors import ExactCheckFailed, NotContractive, SingularMatrix
 
 IntVector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
@@ -158,7 +158,8 @@ def charpoly(m: IntMatrix) -> tuple[int, ...]:
         cur = madd(mk, ident, c)
     # coeffs[k] multiplies x^(d-k); reorder to ascending powers
     out = [coeffs[d - i] for i in range(d + 1)]
-    assert all(x.denominator == 1 for x in out)
+    if any(x.denominator != 1 for x in out):
+        raise ExactCheckFailed(f"characteristic polynomial {out} is not integral")
     return tuple(int(x) for x in out)
 
 
@@ -294,37 +295,68 @@ def multi_step_contraction(r, max_steps: int = 32) -> tuple[int, float]:
     Exists for every expansive R since the spectral radius of (R^T)^{-1}
     is < 1.
     """
-    r = as_int_matrix(r)
-    if det(r) == 0:
-        raise SingularMatrix("matrix is singular")
-    inv_t = np.linalg.inv(r.as_numpy().T)
-    power = np.eye(r.dim)
-    for k in range(1, max_steps + 1):
-        power = power @ inv_t
+    series = inv_transpose_series([r], max_steps)
+    return len(series.heads), series.c
+
+
+@dataclass(frozen=True)
+class NormSeries:
+    """Envelope ||S_j ... S_1||_2 <= c^q * heads[r] for j = q*k0 + r.
+
+    Here S_i = (R_i^T)^{-1}, k0 = len(heads), heads[r] = ||S^r||_2 (so
+    heads[0] = 1) and c = ||S^k0||_2 < 1; it follows from
+    ||S^(q k0 + r)|| <= ||S^k0||^q ||S^r||. A product of several one-step
+    contractions has k0 = 1 and c = max ||S_i||.
+    """
+
+    c: float
+    heads: tuple[float, ...]
+
+    def tail(self, k: int) -> float:
+        """Upper bound on sum_{j>k} ||S_j ... S_1||_2.
+
+        Head r first enters at the smallest q with q*k0 + r > k, that is at
+        q = ceil((k + 1 - r) / k0) (or 0), and contributes a geometric series
+        in c from there.
+        """
+        k0 = len(self.heads)
+        total = sum(h * self.c ** max(0, -((r - k - 1) // k0))
+                    for r, h in enumerate(self.heads))
+        return total / (1.0 - self.c)
+
+
+def inv_transpose_series(rs: Iterable, max_steps: int = 32) -> NormSeries:
+    """Norm envelope of products of the inverse transposes of `rs`.
+
+    One matrix: blocked by its first contracting power k0 <= max_steps.
+    Several distinct matrices: every one must be a one-step contraction,
+    otherwise NotContractive.
+    """
+    invs = []
+    for m in {as_int_matrix(r) for r in rs}:
+        if det(m) == 0:
+            raise SingularMatrix("matrix is singular")
+        invs.append(np.linalg.inv(m.as_numpy().T))
+    if len(invs) > 1:
+        c = max(float(np.linalg.norm(s, 2)) for s in invs)
+        if c >= 1.0:
+            raise NotContractive(
+                "mixed scaling matrices with a non-contractive step")
+        return NormSeries(c, (1.0,))
+    power, heads = np.eye(len(invs[0])), [1.0]
+    for _ in range(max_steps):
+        power = power @ invs[0]
         c = float(np.linalg.norm(power, 2))
         if c < 1.0:
-            return k, c
+            return NormSeries(c, tuple(heads))
+        heads.append(c)
     raise NotContractive(
         f"no contracting power of (R^T)^-1 within {max_steps} steps")
 
 
 def inv_transpose_norm_series(r, rel_margin: float = 1e-9) -> float:
-    """Upper bound on sum_{j>=1} ||(R^T)^{-j}||_2.
+    """Upper bound on sum_{j>=1} ||(R^T)^{-j}||_2, with a relative margin.
 
-    Used for invariant-ball radii and truncation-error bounds when the
-    one-step norm is not < 1: block the series by the first contracting
-    power k and bound sum_{j} n_j / (1 - c_k), n_j = ||(R^T)^{-j}||.
+    Used for cycle containment radii when the one-step norm is not < 1.
     """
-    r = as_int_matrix(r)
-    try:
-        c = contraction_factor(r)
-        return c / (1.0 - c) * (1.0 + rel_margin)
-    except NotContractive:
-        k, ck = multi_step_contraction(r)
-        inv_t = np.linalg.inv(r.as_numpy().T)
-        power = np.eye(r.dim)
-        block = 0.0
-        for _ in range(k):
-            power = power @ inv_t
-            block += float(np.linalg.norm(power, 2))
-        return block / (1.0 - ck) * (1.0 + rel_margin)
+    return inv_transpose_series([r]).tail(0) * (1.0 + rel_margin)

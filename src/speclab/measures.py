@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NotContractive
-from .linalg import (contraction_factor, multi_step_contraction, rat_inverse,
-                     rat_matmul)
+from .linalg import (inv_transpose_series, rat_apply, rat_inverse, rat_matmul,
+                     residue_classes_distinct)
 from .triples import HadamardTriple
 
 DEFAULT_TARGET = 1e-10
@@ -45,6 +43,12 @@ class ConvolutionSystem:
 
     kind: "self_affine" | "periodic" | "random_word" | "general"
     tail: "repeat_last" | "finite" (what happens beyond the explicit data)
+
+    Every kind is one level sequence: the letters (indices into `triples`)
+    of an explicit prefix, then a period repeated forever, empty when the
+    sequence is finite. self_affine is ((), (0,)), periodic ((), word),
+    repeat_last (seq[:-1], seq[-1:]) and finite (seq, ()), with seq the
+    word or, for general, the triples in order.
     """
 
     kind: str
@@ -76,8 +80,17 @@ class ConvolutionSystem:
                 if t.R != r0 or t.L != l0 or len(t.B) != m0:
                     raise ValueError(
                         "random-word triples must share R, L, and digit count")
-        if self.kind == "self_affine" and len(self.triples) != 1:
-            raise ValueError("self-affine system takes exactly one triple")
+        if self.kind == "self_affine":
+            if len(self.triples) != 1:
+                raise ValueError("self-affine system takes exactly one triple")
+            self._letters = ((), (0,))
+        elif self.kind == "periodic":
+            self._letters = ((), tuple(self.word))
+        else:
+            seq = (tuple(self.word) if self.kind == "random_word"
+                   else tuple(range(len(self.triples))))
+            self._letters = ((seq, ()) if self.tail == "finite"
+                             else (seq[:-1], seq[-1:]))
 
     # -- level structure ---------------------------------------------------
 
@@ -86,40 +99,40 @@ class ConvolutionSystem:
         return self.triples[0].dim
 
     @property
+    def prefix(self) -> tuple[HadamardTriple, ...]:
+        """Triples of the explicit levels before the period."""
+        return tuple(self.triples[i] for i in self._letters[0])
+
+    @property
+    def period(self) -> tuple[HadamardTriple, ...]:
+        """Triples repeated forever after the prefix; empty if finite."""
+        return tuple(self.triples[i] for i in self._letters[1])
+
+    @property
     def explicit_length(self) -> int:
-        if self.kind == "self_affine":
-            return 1
-        if self.kind in ("periodic", "random_word"):
-            return len(self.word)
-        return len(self.triples)
+        return len(self._letters[0]) + len(self._letters[1])
 
     @property
     def finite_length(self) -> int | None:
         """Total level count for finite-tail systems, else None."""
-        if self.tail == "finite" and self.kind in ("random_word", "general"):
-            return self.explicit_length
-        return None
+        prefix, period = self._letters
+        return None if period else len(prefix)
+
+    def letter_at(self, k: int) -> int | None:
+        """Index into `triples` of level k >= 1; None past a finite tail."""
+        if k < 1:
+            raise ValueError("levels are 1-indexed")
+        prefix, period = self._letters
+        if k <= len(prefix):
+            return prefix[k - 1]
+        if not period:
+            return None
+        return period[(k - 1 - len(prefix)) % len(period)]
 
     def triple_at(self, k: int) -> HadamardTriple | None:
         """Triple generating level k >= 1; None past a finite tail."""
-        if k < 1:
-            raise ValueError("levels are 1-indexed")
-        if self.kind == "self_affine":
-            return self.triples[0]
-        if self.kind == "periodic":
-            return self.triples[self.word[(k - 1) % len(self.word)]]
-        if self.kind == "random_word":
-            if k <= len(self.word):
-                return self.triples[self.word[k - 1]]
-            if self.tail == "repeat_last":
-                return self.triples[self.word[-1]]
-            return None
-        # general
-        if k <= len(self.triples):
-            return self.triples[k - 1]
-        if self.tail == "repeat_last":
-            return self.triples[-1]
-        return None
+        i = self.letter_at(k)
+        return None if i is None else self.triples[i]
 
     def distinct_triples(self) -> list[HadamardTriple]:
         seen: list[HadamardTriple] = []
@@ -134,51 +147,24 @@ class ConvolutionSystem:
 
     # -- contraction machinery --------------------------------------------
 
-    def _step_norms(self) -> tuple[float, float, int]:
-        """(one-step c or block gamma, prefactor, kind flag) for tail sums.
-
-        Returns (gamma, pref) such that ||(R_k...R_1)^{-T}||_2 <= pref*gamma^k.
-        """
-        if "step" in self._caches:
-            return self._caches["step"]
-        try:
-            c = max(contraction_factor(t.R) for t in self.distinct_triples())
-            out = (c, 1.0, 1)
-        except NotContractive:
-            rs = {t.R for t in self.distinct_triples()}
-            if len(rs) > 1:
-                raise NotContractive(
-                    "mixed scaling matrices with a non-contractive step")
-            r = next(iter(rs))
-            k0, ck = multi_step_contraction(r)
-            # ||S^q|| <= (nmax/ck) * (ck^(1/k0))^q with nmax over one block
-            inv_t = np.linalg.inv(r.as_numpy().T)
-            power = np.eye(r.dim)
-            nmax = 0.0
-            for _ in range(k0):
-                power = power @ inv_t
-                nmax = max(nmax, float(np.linalg.norm(power, 2)))
-            out = (ck ** (1.0 / k0), nmax / ck, k0)
-        self._caches["step"] = out
-        return out
-
     def tail_norm_sum(self, k: int) -> float:
         """Upper bound on sum_{j>k} ||(R_j...R_1)^{-T}||_2."""
         fin = self.finite_length
         if fin is not None and k >= fin:
             return 0.0
-        gamma, pref, _ = self._step_norms()
-        return pref * gamma ** (k + 1) / (1.0 - gamma)
+        if "series" not in self._caches:
+            self._caches["series"] = inv_transpose_series(
+                t.R for t in self.distinct_triples())
+        return self._caches["series"].tail(k)
 
     def depth_for(self, max_xi_norm: float, pol: TruncationPolicy) -> int:
         """Product depth meeting the policy for |xi| <= max_xi_norm.
 
-        Always covers the explicit word/level data (truncating earlier would
-        still be sound, the bound holds for any digit choice, but the value
-        would ignore specified levels).
+        Always covers the explicit prefix and one period (truncating earlier
+        would still be sound, the bound holds for any digit choice, but the
+        value would ignore specified levels).
         """
-        lo = 1 if self.kind == "self_affine" else min(self.explicit_length,
-                                                      pol.max_depth)
+        lo = min(self.explicit_length, pol.max_depth)
         if pol.depth is not None:
             k = max(pol.depth, lo)
         else:
@@ -278,10 +264,14 @@ def _ft_product(sys: ConvolutionSystem, pts: np.ndarray, depth: int,
 
 def ft_eval_many(sys: ConvolutionSystem, xi, pol: TruncationPolicy = DEFAULT_POLICY,
                  skip_upto: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Fourier transform at an array of points; returns (values, tail bounds)."""
+    """Fourier transform at an array of points; returns (values, tail bounds).
+
+    With skip_upto = n it is the transform of the tail measure mu_{>n}, and
+    the product runs at least to level n.
+    """
     pts = _as_points(sys, xi)
     norms = np.linalg.norm(pts, axis=1)
-    depth = sys.depth_for(float(norms.max(initial=0.0)), pol)
+    depth = max(sys.depth_for(float(norms.max(initial=0.0)), pol), skip_upto)
     vals = _ft_product(sys, pts, depth, skip_upto)
     amp = 2.0 * math.pi * sys.max_digit_norm * norms
     bounds = np.abs(vals) * np.expm1(amp * sys.tail_norm_sum(depth))
@@ -299,13 +289,7 @@ def ft_tail_eval_many(sys: ConvolutionSystem, n: int, xi,
     """Transform of the tail measure mu_{>n} at an array of points."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    pts = _as_points(sys, xi)
-    norms = np.linalg.norm(pts, axis=1)
-    depth = max(sys.depth_for(float(norms.max(initial=0.0)), pol), n)
-    vals = _ft_product(sys, pts, depth, skip_upto=n)
-    amp = 2.0 * math.pi * sys.max_digit_norm * norms
-    bounds = np.abs(vals) * np.expm1(amp * sys.tail_norm_sum(depth))
-    return vals, bounds
+    return ft_eval_many(sys, xi, pol, skip_upto=n)
 
 
 def ft_tail_eval(sys: ConvolutionSystem, n: int, xi,
@@ -341,18 +325,7 @@ def sample_support(sys: ConvolutionSystem, n: int, count: int,
     """count i.i.d. draws of sum_{k<=n} (R_k...R_1)^{-1} b_k, uniform digits."""
     if n < 1:
         raise ValueError("need at least one digit level")
-    rng = np.random.default_rng(seed)
-    pts = np.zeros((count, sys.dim))
-    cum = np.eye(sys.dim)
-    for k in range(1, n + 1):
-        t = sys.triple_at(k)
-        if t is None:
-            break
-        cum = cum @ np.linalg.inv(t.R.as_numpy())
-        digits = t.B.as_numpy()
-        idx = rng.integers(0, len(digits), size=count)
-        pts += digits[idx] @ cum.T
-    return pts
+    return _sample_atoms(sys, n, count, np.random.default_rng(seed))[1]
 
 
 # -- no-overlap assessment ----------------------------------------------------
@@ -366,33 +339,43 @@ class NoOverlapReport:
     detail: dict = field(default_factory=dict)
 
 
-def _exact_atoms(sys: ConvolutionSystem, n: int):
-    """All level-n atoms as exact Fraction vectors, in digit-word order."""
-    cum = sys.cumulative_inverse_exact(n)
-    level_digits = []
+def level_word_sums(sys: ConvolutionSystem, n: int, options, zero) -> np.ndarray:
+    """Every sum zero + o_1 + ... + o_n over levels 1..n, in digit-word order.
+
+    options(k, t) gives the per-digit rows o_k of level k's triple t; level 1
+    is the outermost index, and a level past a finite tail has the single
+    option 0. Rows may hold exact Python numbers (object arrays) or floats.
+    """
+    acc = np.asarray(zero)[None]
     for k in range(1, n + 1):
         t = sys.triple_at(k)
-        if t is None:
-            level_digits.append([(Fraction(0),) * sys.dim])
-            continue
-        mats = cum[k - 1]
-        level_digits.append([
-            tuple(sum(mats[i][j] * Fraction(b[j]) for j in range(sys.dim))
-                  for i in range(sys.dim))
-            for b in t.B.vectors])
-    atoms = [((Fraction(0),) * sys.dim, ())]
-    for opts in level_digits:
-        atoms = [(tuple(a[i] + o[i] for i in range(sys.dim)), w + (j,))
-                 for a, w in atoms for j, o in enumerate(opts)]
-    return atoms
+        if t is not None:
+            opts = options(k, t)
+            acc = (acc[:, None] + opts[None]).reshape((-1,) + acc.shape[1:])
+    return acc
+
+
+def scaled_digit_options(sys: ConvolutionSystem, n: int):
+    """options(k, t) for level_word_sums: exact (R_k...R_1)^{-1} b per digit."""
+    cum = sys.cumulative_inverse_exact(n)
+
+    def options(k: int, t: HadamardTriple) -> np.ndarray:
+        return np.array([rat_apply(cum[k - 1], b) for b in t.B.vectors],
+                        dtype=object)
+
+    return options
+
+
+def _exact_atoms(sys: ConvolutionSystem, n: int) -> list[tuple]:
+    """All level-n atoms as exact Fraction vectors, in digit-word order."""
+    zero = np.zeros(sys.dim, dtype=object)
+    return [tuple(a) for a in
+            level_word_sums(sys, n, scaled_digit_options(sys, n), zero)]
 
 
 def _atom_count(sys: ConvolutionSystem, n: int) -> int:
-    total = 1
-    for k in range(1, n + 1):
-        t = sys.triple_at(k)
-        total *= 1 if t is None else len(t.B)
-    return total
+    return math.prod(1 if t is None else len(t.B)
+                     for t in map(sys.triple_at, range(1, n + 1)))
 
 
 def no_overlap_assess(sys: ConvolutionSystem, n: int, samples: int = 4096,
@@ -402,25 +385,24 @@ def no_overlap_assess(sys: ConvolutionSystem, n: int, samples: int = 4096,
 
     Proven: exact separation certificate (digit residues distinct at every
     level, level-n atoms pairwise farther apart than a certified diameter
-    bound on K_n). Assumed: self-affine system with a verified triple (no
-    overlap is known for that class). Estimated: fraction of deep-level atom
+    bound on K_n). Assumed: the level sequence repeats one verified triple
+    from level 1 on, so the measure is self-affine (no overlap is known for
+    that class). Estimated: fraction of deep-level atom
     pairs with distinct level-n prefixes that land within the tail diameter
     bound; sampling never upgrades to Proven.
     """
     if n < 1:
         raise ValueError("level must be >= 1")
-    triples_used = {id(sys.triple_at(k)): sys.triple_at(k)
-                    for k in range(1, n + 1) if sys.triple_at(k) is not None}
+    triples_used = {id(t): t for t in map(sys.triple_at, range(1, n + 1))
+                    if t is not None}
     if all(len(t.B) == 1 for t in triples_used.values()):
         return NoOverlapReport("proven", n, detail={"reason": "singleton digits"})
 
     m_n = _atom_count(sys, n)
     if m_n <= cap:
-        from .linalg import residue_classes_distinct
         residues_ok = all(residue_classes_distinct(t.R, t.B.vectors)
                           for t in triples_used.values())
-        atoms = _exact_atoms(sys, n)
-        values = [a for a, _ in atoms]
+        values = _exact_atoms(sys, n)
         injective = len(set(values)) == m_n
         diam = 2.0 * support_radius(sys, n)
         arr = np.array([[float(x) for x in v] for v in values])
@@ -428,7 +410,7 @@ def no_overlap_assess(sys: ConvolutionSystem, n: int, samples: int = 4096,
         if residues_ok and injective and min_gap > diam:
             return NoOverlapReport("proven", n, detail={
                 "min_gap": min_gap, "tail_diameter_bound": diam})
-    if sys.kind == "self_affine" and sys.triples[0].status == "verified":
+    if not sys.prefix and len(sys.period) == 1 and sys.period[0].status == "verified":
         return NoOverlapReport("assumed", n, detail={
             "reason": "self-affine measure of a verified Hadamard triple"})
 
@@ -439,10 +421,9 @@ def no_overlap_assess(sys: ConvolutionSystem, n: int, samples: int = 4096,
     tol = max(2.0 * support_radius(sys, m), 1e-12)
     if _atom_count(sys, m) <= cap:
         atoms = _exact_atoms(sys, m)
-        pts = np.array([[float(x) for x in v] for v, _ in atoms])
-        prefix_ids: dict[tuple, int] = {}
-        prefixes = np.array([prefix_ids.setdefault(w[:n], len(prefix_ids))
-                             for _, w in atoms])
+        pts = np.array([[float(x) for x in v] for v in atoms])
+        # digit-word order puts each level-n prefix in one contiguous block
+        prefixes = np.arange(len(atoms)) // (len(atoms) // m_n)
         hits, pairs = _near_pairs(pts, prefixes, tol)
         mode = "exhaustive"
     else:

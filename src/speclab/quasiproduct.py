@@ -179,22 +179,28 @@ def fiber_system(spec: QuasiProductSpec, word, tail: str = "repeat_last",
     base = np.zeros(spec.outer_dim)
     r1_pow = np.eye(spec.outer_dim)
     for k in range(1, depth + 1):
-        wk = w[k - 1] if k <= len(w) else (w[-1] if tail == "repeat_last" else None)
+        wk = sys.letter_at(k)
         if wk is None:
             break
         r1_pow = r1_pow @ r1_inv                    # R1^{-k}
         base += r1_pow @ a[wk]
-    shear, shear_bound = _shear_series(spec, w, tail, depth)
+    shear, shear_bound = _shear_series(spec, sys, depth)
     c1 = float(np.linalg.norm(r1_inv, 2))
     amax = float(np.linalg.norm(a, axis=1).max()) if len(a) else 0.0
     base_bound = amax * c1 ** (depth + 1) / (1 - c1) if c1 < 1 else np.inf
     return FiberDecomposition(sys, base, base_bound, shear, shear_bound)
 
 
-def _shear_series(spec: QuasiProductSpec, w, tail: str,
+def _shear_series(spec: QuasiProductSpec, sys: ConvolutionSystem,
                   depth: int) -> tuple[np.ndarray, float]:
-    """g(omega) = sum_k D_k a_{omega_k} with
-    D_k = -sum_{j=0}^{k-1} R^{-(j+1)} C R1^{-(k-j)}."""
+    """g(omega) = sum_k D_k a_{omega_k} over the fibre's levels k <= depth,
+    with D_k = -sum_{j=0}^{k-1} R^{-(j+1)} C R1^{-(k-j)}, and a bound on
+    the rest.
+
+    With g = max(||R1^{-1}||, ||R^{-1}||) < 1, each of the k terms of D_k has
+    norm at most ||C|| g^{k+1}, so the levels beyond depth add at most
+    amax ||C|| sum_{k>depth} k g^{k+1}, summed in closed form.
+    """
     c = spec.coupling()
     if not c.any():
         return np.zeros(spec.inner_dim), 0.0
@@ -208,20 +214,20 @@ def _shear_series(spec: QuasiProductSpec, w, tail: str,
         r_pows.append(r_inv @ r_pows[-1])
         r1_pows.append(r1_inv @ r1_pows[-1])
     for k in range(1, depth + 1):
-        wk = w[k - 1] if k <= len(w) else (w[-1] if tail == "repeat_last" else None)
+        wk = sys.letter_at(k)
         if wk is None:
             break
         d_k = -sum(r_pows[j + 1] @ c @ r1_pows[k - j] for j in range(k))
         out += d_k @ a[wk]
-    c1 = float(np.linalg.norm(r1_inv, 2))
-    c2 = float(np.linalg.norm(r_inv, 2))
+    g = max(float(np.linalg.norm(r1_inv, 2)), float(np.linalg.norm(r_inv, 2)))
+    if g >= 1:
+        return out, np.inf
     amax = float(np.linalg.norm(a, axis=1).max())
     cn = float(np.linalg.norm(c, 2))
-    g = max(c1, c2)
-    # |D_k| <= k c2 cn c1 g^{k-1}-ish; crude geometric majorant for the tail
-    tail_bound = amax * cn * sum((k * g ** k) for k in range(depth + 1, depth + 200)) \
-        if g < 1 else np.inf
-    return out, float(tail_bound)
+    # sum_{k>N} k x^k = x^(N+1) ((N+1) - N x) / (1-x)^2, times g for g^(k+1)
+    n = depth
+    rest = g ** (n + 2) * ((n + 1) - n * g) / (1 - g) ** 2
+    return out, amax * cn * rest
 
 
 def product_spectrum_check(spec: QuasiProductSpec, gen1: SpectrumGenerator,

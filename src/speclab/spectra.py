@@ -25,9 +25,10 @@ import numpy as np
 
 from .cycles import ExtremeCycle, dynamically_simple_spectrum
 from .errors import SizeCap
-from .linalg import mat_pow, rat_apply
+from .linalg import identity
 from .measures import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
-                       ft_eval_many, ft_tail_eval_many)
+                       ft_eval_many, ft_tail_eval_many, level_word_sums,
+                       scaled_digit_options)
 from .triples import HadamardTriple, mask_eval_many, tau_float_many
 
 FN_SIZE_CAP = 4096
@@ -151,40 +152,18 @@ class ProductGenerator(SpectrumGenerator):
 # -- level frequency sets -----------------------------------------------------
 
 
-def _level_cumulative_rt(sys: ConvolutionSystem, n: int):
-    """P_k = R_1^T ... R_{k-1}^T (exact integer matrices), k = 1..n."""
-    mats = [None] * n
-    cur = mat_pow(sys.triples[0].R, 0)  # identity of the right dimension
-    for k in range(1, n + 1):
-        mats[k - 1] = cur
-        t = sys.triple_at(k)
-        if t is not None and k < n:
-            cur = cur @ t.R.transpose()
-    return mats
-
-
-def level_words(sys: ConvolutionSystem, n: int) -> list[tuple[int, ...]]:
-    """Digit index words in lexicographic order (first level outermost)."""
-    sizes = []
-    for k in range(1, n + 1):
-        t = sys.triple_at(k)
-        sizes.append(1 if t is None else len(t.B))
-    return list(itertools.product(*(range(s) for s in sizes)))
-
-
 def lambda_word_values(sys: ConvolutionSystem, n: int) -> list[tuple[int, ...]]:
     """Lambda_n elements in digit-word order (with any collisions kept)."""
-    mats = _level_cumulative_rt(sys, n)
-    per_level = []
-    for k in range(1, n + 1):
+    cum = [identity(sys.dim)]  # P_k = R_1^T ... R_{k-1}^T, exact
+    for k in range(1, n):
         t = sys.triple_at(k)
-        ls = ((0,) * sys.dim,) if t is None else t.L.vectors
-        per_level.append([mats[k - 1].apply(l) for l in ls])
-    vals = [(0,) * sys.dim]
-    for opts in per_level:
-        vals = [tuple(v[i] + o[i] for i in range(sys.dim))
-                for v in vals for o in opts]
-    return vals
+        cum.append(cum[-1] if t is None else cum[-1] @ t.R.transpose())
+
+    def options(k: int, t: HadamardTriple) -> np.ndarray:
+        return np.array([cum[k - 1].apply(l) for l in t.L.vectors], dtype=object)
+
+    vals = level_word_sums(sys, n, options, np.zeros(sys.dim, dtype=object))
+    return [tuple(v) for v in vals]
 
 
 def lambda_n(sys: ConvolutionSystem, n: int) -> list[tuple[int, ...]]:
@@ -227,23 +206,6 @@ class FnMatrix:
         return float(self.tail_moduli.min())
 
 
-def _b_word_values(sys: ConvolutionSystem, n: int) -> list[tuple[Fraction, ...]]:
-    cum = sys.cumulative_inverse_exact(n)
-    per_level = []
-    for k in range(1, n + 1):
-        t = sys.triple_at(k)
-        if t is None:
-            per_level.append([(Fraction(0),) * sys.dim])
-        else:
-            per_level.append([rat_apply(cum[k - 1], [Fraction(x) for x in b])
-                              for b in t.B.vectors])
-    vals = [(Fraction(0),) * sys.dim]
-    for opts in per_level:
-        vals = [tuple(v[i] + o[i] for i in range(sys.dim))
-                for v in vals for o in opts]
-    return vals
-
-
 def build_fn(sys: ConvolutionSystem, n: int,
              pol: TruncationPolicy = DEFAULT_POLICY,
              cap: int = FN_SIZE_CAP) -> FnMatrix:
@@ -261,26 +223,21 @@ def build_fn(sys: ConvolutionSystem, n: int,
     if collisions:
         warnings.warn(f"Lambda_{n} collisions: criterion is inconclusive",
                       stacklevel=2)
-    b_points = _b_word_values(sys, n)
+    digit_opts = scaled_digit_options(sys, n)
+    zero = np.zeros(sys.dim, dtype=object)
+    b_points = [tuple(b) for b in level_word_sums(sys, n, digit_opts, zero)]
 
     lam_arr = np.array(lambdas, dtype=float)
     tail_vals, tail_bounds = ft_tail_eval_many(sys, n, lam_arr, pol)
     moduli = np.abs(tail_vals)
 
     # per-level phase tables: frac(<(R_k...R_1)^{-1} b, lambda>) exactly
-    cum = sys.cumulative_inverse_exact(n)
-    phase = np.zeros((1, m_n))
-    for k in range(1, n + 1):
-        t = sys.triple_at(k)
-        if t is None:
-            continue
-        tbl = np.empty((len(t.B), m_n))
-        for j, b in enumerate(t.B.vectors):
-            scaled = rat_apply(cum[k - 1], [Fraction(x) for x in b])
-            for i, lam in enumerate(lambdas):
-                dot = sum(scaled[a] * lam[a] for a in range(sys.dim))
-                tbl[j, i] = float(dot - math.floor(dot))
-        phase = (phase[:, None, :] + tbl[None, :, :]).reshape(-1, m_n)
+    lam_exact = np.array(lambdas, dtype=object)
+
+    def phase_opts(k: int, t: HadamardTriple) -> np.ndarray:
+        return ((digit_opts(k, t) @ lam_exact.T) % 1).astype(float)
+
+    phase = level_word_sums(sys, n, phase_opts, np.zeros(m_n))
     # phase[w, i] = <b_w, lambda_i> mod 1; rows of F are indexed by lambda
     f = (moduli[:, None] * np.exp(-2j * np.pi * phase.T)) / math.sqrt(m_n)
     gram = f.conj().T @ f

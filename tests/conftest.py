@@ -2,8 +2,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
+
+# Property tests draw the same examples on every run and keep no example
+# database, so they cannot make the suite flaky.
+settings.register_profile("speclab", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("speclab")
 
 from speclab import self_affine, triple
 

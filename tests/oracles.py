@@ -177,3 +177,22 @@ def repeat_last_exact_q(word, digit_sets=((0, 1), (0, 3))) -> dict[int, Fraction
 def trig_eval(coeffs: dict[int, Fraction], x: float) -> float:
     """sum_k c_k e^{2 pi i k x} for real, symmetric coefficients."""
     return sum(float(v) * math.cos(2 * math.pi * k * x) for k, v in coeffs.items())
+
+
+def level_letter_reference(kind: str, n_triples: int, word, tail: str,
+                           k: int) -> int | None:
+    """Index of the triple at level k >= 1 under the four system kinds.
+
+    Kept as the reference for the level sequence: self_affine repeats its one
+    triple, periodic cycles through the word, random_word reads the word and
+    general the triples in order, and past the explicit data both either
+    repeat the last letter ("repeat_last") or stop ("finite", None).
+    """
+    if kind == "self_affine":
+        return 0
+    if kind == "periodic":
+        return word[(k - 1) % len(word)]
+    seq = list(word) if kind == "random_word" else list(range(n_triples))
+    if k <= len(seq):
+        return seq[k - 1]
+    return seq[-1] if tail == "repeat_last" else None

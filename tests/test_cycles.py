@@ -6,10 +6,22 @@ import pytest
 from speclab import (MismatchedRL, NonIntegerElement, common_extreme_cycles,
                      dynamically_simple_spectrum, find_extreme_cycles,
                      fixed_point_of_word, mask_eval, triple)
+from speclab import cycles
 from speclab.cycles import _primitive_necklaces
+from speclab.errors import ExactCheckFailed
 from speclab.triples import cycle_containment_radius, tau_float_many
 
 import oracles
+
+
+def test_fixed_point_recheck_raises(monkeypatch):
+    # the exact re-application of the word must reproduce the fixed point;
+    # a disagreement raises even under python -O
+    t = triple(4, [0, 2], [0, 3])
+    monkeypatch.setattr(cycles, "tau_exact",
+                        lambda r, l, x: tuple(v + 1 for v in x))
+    with pytest.raises(ExactCheckFailed):
+        fixed_point_of_word(t, [(3,)])
 
 
 def test_fixed_points_1d():

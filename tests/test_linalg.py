@@ -7,7 +7,9 @@ from speclab import (IntMatrix, NotContractive, SingularMatrix,
                      contraction_factor, det, is_complete_residue_set,
                      is_expansive, multi_step_contraction,
                      residue_classes_distinct, solve_exact)
-from speclab.linalg import as_int_matrix, charpoly, inv_transpose_norm_series
+from speclab.errors import ExactCheckFailed
+from speclab.linalg import (as_int_matrix, charpoly, inv_transpose_norm_series,
+                            inv_transpose_series)
 
 import oracles
 
@@ -143,14 +145,52 @@ def test_contraction_factor_not_contractive_example():
 
 
 def test_norm_series_bounds_partial_sums():
-    for m in ([[2]], [[0, 2], [1, 0]], [[3, 1], [0, 2]]):
+    for m in ([[2]], [[0, 2], [1, 0]], [[3, 1], [0, 2]], [[0, -4], [1, 0]],
+              [[1, 1], [-1, 1]]):
         series = inv_transpose_norm_series(m)
+        tails = inv_transpose_series([m])
         inv_t = np.linalg.inv(np.array(m, dtype=float).T)
-        acc, power = 0.0, np.eye(len(inv_t))
-        for _ in range(60):
+        power, norms = np.eye(len(inv_t)), []
+        for _ in range(80):
             power = power @ inv_t
-            acc += np.linalg.norm(power, 2)
-        assert series >= acc
+            norms.append(np.linalg.norm(power, 2))
+        assert series >= sum(norms)
+        for k in range(8):  # tail(k) bounds sum_{j>k}, norms[j-1] = ||S^j||
+            assert tails.tail(k) >= sum(norms[k:]) * (1 - 1e-12)
+
+
+def test_norm_series_tail_is_exact_for_two_step_scaling():
+    # (R^T)^{-2} = I/2 and ||(R^T)^{-1}|| = 1, so the norms run 1, 1/2, 1/2,
+    # 1/4, 1/4, ... and every tail sum is attained
+    series = inv_transpose_series([[[0, 2], [1, 0]]])
+    assert series.heads == (1.0, pytest.approx(1.0)) and series.c == pytest.approx(0.5)
+    norms = [0.5 ** (j // 2) for j in range(120)]  # ||(R^T)^{-j}||_2
+    for k in range(6):
+        assert series.tail(k) == pytest.approx(sum(norms[k + 1:]), rel=1e-12)
+    assert series.tail(0) == pytest.approx(3.0)
+
+
+def test_norm_series_one_step_is_geometric():
+    series = inv_transpose_series([[[3]]])
+    assert series.heads == (1.0,)
+    for k in range(5):
+        assert series.tail(k) == series.c ** (k + 1) / (1.0 - series.c)
+    # several one-step contractions share the largest norm
+    mixed = inv_transpose_series([[[3]], [[2]]])
+    assert mixed.c == 0.5 and mixed.heads == (1.0,)
+    with pytest.raises(NotContractive):
+        inv_transpose_series([[[0, 2], [1, 0]], [[2, 0], [0, 2]]])
+
+
+def test_charpoly_rejects_non_integral_result():
+    class HalfMatrix:  # stands in for a corrupted IntMatrix
+        dim = 1
+
+        def as_fractions(self):
+            return ((Fraction(1, 2),),)
+
+    with pytest.raises(ExactCheckFailed):
+        charpoly(HalfMatrix())
 
 
 def test_int_matrix_validation():

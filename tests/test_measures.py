@@ -168,6 +168,18 @@ def test_no_overlap_verdicts(two_digit_family, quarter_cantor_system,
     assert rep.verdict == "estimated" and rep.p_hat == 0
 
 
+def test_no_overlap_one_repeated_triple_is_self_affine(two_digit_family):
+    # whatever factory builds it, one triple from level 1 on is the
+    # self-affine measure of that triple
+    for sys in (periodic_word(two_digit_family, [1]),
+                random_word(two_digit_family, [1]),
+                general_product(two_digit_family[1:], tail="repeat_last")):
+        assert sys.prefix == () and sys.period == (two_digit_family[1],)
+        assert no_overlap_assess(sys, 1).verdict == "assumed"
+    fin = general_product(two_digit_family[1:])
+    assert fin.prefix == (two_digit_family[1],) and fin.period == ()
+
+
 def test_no_overlap_sampled_branch(two_digit_family):
     # a deep enough level overflows the enumeration cap and switches to
     # seeded pair sampling; detection weakens but stays deterministic

@@ -116,6 +116,19 @@ def test_fiber_shear_vanishes_only_for_zero_coupling():
     assert fib0.shear[0] == 0.0  # a_0 = 0 kills every term
 
 
+def test_shear_bound_covers_deeper_levels():
+    # ||R^{-1}|| = 1/sqrt(2), so the shear converges slowly enough that the
+    # levels past 64 are visible in double precision
+    spec = quasi_product_spec(2, [0, 1], [0, 1], [[1, 1], [-1, 1]],
+                              [[(0, 0), (1, 0)], [(0, 0), (3, 0)]],
+                              [(0, 0), (1, 0)], c=[[1], [1]])
+    for word in [(1,) * 6, (1, 0, 1, 1), (0, 1)]:
+        fib = fiber_system(spec, word, depth=64)
+        deep = fiber_system(spec, word, depth=400)
+        gap = float(np.linalg.norm(deep.shear - fib.shear))
+        assert 0 < gap <= fib.shear_bound
+
+
 def test_fiber_transform_matches_second_coordinate(example_spec):
     # with C = 0 the full transform restricted to (0, xi2) factors through
     # the Lebesgue base layer; the fiber-average identity is checked by
