@@ -2,15 +2,16 @@
 
 JSON configs in, JSON/CSV reports out. Exit codes: 0 = pass, 2 = the
 mathematical check ran and failed, 1 = operational error (bad input,
-malformed JSON, missing file), so shell pipelines can tell mathematics
-from tooling.
+malformed JSON, missing file, an ensemble sample that raised), so shell
+pipelines can tell mathematics from tooling.
 
 Input schemas (also in the README):
 
   triple:    {"R": 2 | [[...]], "B": [0,1] | [[...]], "L": [0,1]}
   system:    {"kind": "self_affine"|"periodic"|"random_word"|"general",
               "triples": [triple, ...], "word": [ints],
-              "tail": "repeat_last"|"finite"}
+              "tail": "repeat_last"|"finite"}   (which kind takes which
+             field, and the tail defaults: see the README)
   generator: {"kind": "lattice", "basis": 1 | [[...]]}
            | {"kind": "cycle_spectrum", "triple": triple, "mmax": 6}
            | {"kind": "level_sets"}
@@ -36,10 +37,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cycles import find_extreme_cycles, search_summary
+from .cycles import (dynamically_simple_spectrum, find_extreme_cycles,
+                     search_summary)
 from .ensemble import (EnsembleConfig, counterexample_probe,
                        ensemble_spectrum_report, ensemble_tiling_report)
-from .errors import SpeclabError
+from .errors import NonIntegerElement, SpeclabError
 from .measures import (ConvolutionSystem, TruncationPolicy, general_product,
                        periodic_word, random_word, self_affine)
 from .quasiproduct import (build_quasi_product, describe_spec,
@@ -64,36 +66,51 @@ def _load_json(path: str) -> dict:
         raise CliError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _parse_triple(obj, tol: float) -> HadamardTriple:
+def _parse_triple(obj, tol: float, verify: bool = True) -> HadamardTriple:
     if not isinstance(obj, dict):
         raise CliError(f"triple must be an object, got {type(obj).__name__}")
     for key in ("R", "B", "L"):
         if key not in obj:
             raise CliError(f"triple is missing field {key!r}")
     try:
-        return triple(obj["R"], obj["B"], obj["L"], tol=tol, require=False)
+        return triple(obj["R"], obj["B"], obj["L"], tol=tol, require=verify)
     except (ValueError, TypeError, SpeclabError) as exc:
         raise CliError(f"bad triple: {exc}") from exc
 
 
+def _parse_family(obj, tol: float) -> list[HadamardTriple]:
+    """The verified triples of obj["triples"], which must be a nonempty list."""
+    items = obj.get("triples") if isinstance(obj, dict) else None
+    if not isinstance(items, list) or not items:
+        raise CliError("config needs a nonempty 'triples' list")
+    return [_parse_triple(t, tol) for t in items]
+
+
+# fields a kind cannot use; other keys may belong to an enclosing config
+_UNUSABLE = {"self_affine": ("tail", "word"), "periodic": ("tail",),
+             "general": ("word",)}
+
+
 def _parse_system(obj: dict, tol: float) -> ConvolutionSystem:
     kind = obj.get("kind")
-    triples = [_parse_triple(t, tol) for t in obj.get("triples", [])]
-    if not triples:
-        raise CliError("system needs a nonempty 'triples' list")
-    for t in triples:
-        t.require_verified(tol)
-    word = obj.get("word")
-    tail = obj.get("tail", "repeat_last")
+    for key in _UNUSABLE.get(kind, ()):
+        if key in obj:
+            raise CliError(f"{kind} system takes no {key!r} field")
+    triples = _parse_family(obj, tol)
+    if kind == "self_affine" and len(triples) != 1:
+        raise CliError("self_affine system takes exactly one triple")
+    word = obj.get("word") or []
+    # each factory keeps its own default tail unless the input names one
+    tail = {"tail": obj["tail"]} if "tail" in obj else {}
     try:
         if kind == "self_affine":
             return self_affine(triples[0])
         if kind == "periodic":
-            return periodic_word(triples, word or [])
+            return periodic_word(triples, word)
         if kind == "random_word":
-            return random_word(triples, word or [], tail=tail)
+            return random_word(triples, word, **tail)
         if kind == "general":
-            return general_product(triples, tail=tail)
+            return general_product(triples, **tail)
     except (ValueError, TypeError, SpeclabError) as exc:
         raise CliError(f"bad system: {exc}") from exc
     raise CliError(f"unknown system kind {kind!r}")
@@ -121,11 +138,12 @@ def _parse_generator(obj: dict, args) -> object:
         basis = _numeric_array(obj.get("basis", 1))
         return LatticeGenerator(np.atleast_2d(basis))
     if kind == "cycle_spectrum":
-        t = _parse_triple(obj["triple"], args.tol)
-        t.require_verified(args.tol)
+        t = _parse_triple(obj.get("triple"), args.tol)
         cycles = find_extreme_cycles(t, obj.get("mmax", args.mmax))
         return CycleSpectrumGenerator(t, cycles)
     if kind == "explicit":
+        if "points" not in obj:
+            raise CliError("explicit generator needs 'points'")
         return ExplicitGenerator(_numeric_array(obj["points"]))
     raise CliError(f"unknown generator kind {kind!r} "
                    "(level_sets is resolved against a system)")
@@ -163,7 +181,7 @@ def _effective(args, extra: dict | None = None) -> dict:
 
 def cmd_verify(args) -> int:
     obj = _load_json(args.input)
-    t = _parse_triple(obj, args.tol)
+    t = _parse_triple(obj, args.tol, verify=False)
     res = verify_hadamard(t, args.tol)
     report = {"config": _effective(args), "passed": res.passed,
               "residual": res.residual, "size": t.size, "dim": t.dim}
@@ -178,13 +196,10 @@ def cmd_cycles(args) -> int:
         raise CliError("--mmax must be >= 1")
     obj = _load_json(args.input)
     t = _parse_triple(obj, args.tol)
-    t.require_verified(args.tol)
     cycles = find_extreme_cycles(t, args.mmax)
     payload = {"config": _effective(args)}
     payload.update(search_summary(t, cycles, args.mmax))
     if args.spectrum_level is not None:
-        from .cycles import dynamically_simple_spectrum
-        from .errors import NonIntegerElement
         payload["spectrum_level"] = args.spectrum_level
         try:
             payload["spectrum"] = [list(p) for p in dynamically_simple_spectrum(
@@ -208,9 +223,7 @@ def cmd_spectrum(args) -> int:
         payload["frequencies"] = [list(p) for p in lambda_n(sysm, level)]
     else:
         t = _parse_triple(obj, args.tol)
-        t.require_verified(args.tol)
         cycles = find_extreme_cycles(t, args.mmax)
-        from .cycles import dynamically_simple_spectrum
         payload["level"] = args.window
         payload["cycles"] = [c.to_dict() for c in cycles]
         payload["frequencies"] = [list(p) for p in dynamically_simple_spectrum(
@@ -273,13 +286,19 @@ def cmd_quasiproduct(args) -> int:
     return 0
 
 
+def _ensemble_exit(rep, args) -> int:
+    """1 if any sample raised, else 0 or 2 by the pass threshold."""
+    errors = [v.error for v in rep.verdicts if v.error]
+    if errors:
+        print(f"error: {len(errors)} of {len(rep.verdicts)} samples raised; "
+              f"first: {errors[0]}", file=sys.stderr)
+        return 1
+    return 0 if rep.pass_fraction >= args.pass_threshold else 2
+
+
 def cmd_random(args) -> int:
     obj = _load_json(args.input)
-    triples = [_parse_triple(t, args.tol) for t in obj.get("triples", [])]
-    for t in triples:
-        t.require_verified(args.tol)
-    if not triples:
-        raise CliError("random config needs a nonempty 'triples' family")
+    triples = _parse_family(obj, args.tol)
     gen = _parse_generator(obj.get("generator", {"kind": "lattice", "basis": 1}),
                            args)
     cfg = EnsembleConfig(triples=triples, generator=gen,
@@ -295,7 +314,7 @@ def cmd_random(args) -> int:
           f"(min Q median {rep.min_q_median:.4f})")
     for note in rep.notes:
         print(f"note: {note}")
-    return 0 if rep.pass_fraction >= args.pass_threshold else 2
+    return _ensemble_exit(rep, args)
 
 
 def cmd_tiling(args) -> int:
@@ -311,9 +330,7 @@ def cmd_tiling(args) -> int:
               f"(max off-lattice mass {rep.max_offlattice_mass:.3g})")
         return 0 if rep.passed else 2
     # family form: per-word ensemble
-    triples = [_parse_triple(t, args.tol) for t in obj.get("triples", [])]
-    for t in triples:
-        t.require_verified(args.tol)
+    triples = _parse_family(obj, args.tol)
     gen = LatticeGenerator(np.atleast_2d(basis))
     cfg = EnsembleConfig(triples=triples, generator=gen,
                          word_length=args.word_length, samples=args.samples,
@@ -325,14 +342,12 @@ def cmd_tiling(args) -> int:
     _write_json(out / "tiling_report.json", rep.to_dict())
     _write_lines(out / "tiling_samples.csv", rep.csv_rows())
     print(f"tiling pass fraction {rep.pass_fraction:.3f}")
-    return 0 if rep.pass_fraction >= args.pass_threshold else 2
+    return _ensemble_exit(rep, args)
 
 
 def cmd_probe(args) -> int:
     obj = _load_json(args.input)
-    triples = [_parse_triple(t, args.tol) for t in obj.get("triples", [])]
-    for t in triples:
-        t.require_verified(args.tol)
+    triples = _parse_family(obj, args.tol)
     if "word" not in obj or "probes" not in obj:
         raise CliError("probe config needs 'word' and 'probes'")
     gen = _parse_generator(obj.get("generator", {"kind": "lattice", "basis": 1}),

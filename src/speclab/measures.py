@@ -355,22 +355,16 @@ def level_word_sums(sys: ConvolutionSystem, n: int, options, zero) -> np.ndarray
     return acc
 
 
-def scaled_digit_options(sys: ConvolutionSystem, n: int):
-    """options(k, t) for level_word_sums: exact (R_k...R_1)^{-1} b per digit."""
+def _exact_atoms(sys: ConvolutionSystem, n: int) -> list[tuple]:
+    """All level-n atoms as exact Fraction vectors, in digit-word order."""
     cum = sys.cumulative_inverse_exact(n)
 
     def options(k: int, t: HadamardTriple) -> np.ndarray:
         return np.array([rat_apply(cum[k - 1], b) for b in t.B.vectors],
                         dtype=object)
 
-    return options
-
-
-def _exact_atoms(sys: ConvolutionSystem, n: int) -> list[tuple]:
-    """All level-n atoms as exact Fraction vectors, in digit-word order."""
     zero = np.zeros(sys.dim, dtype=object)
-    return [tuple(a) for a in
-            level_word_sums(sys, n, scaled_digit_options(sys, n), zero)]
+    return [tuple(a) for a in level_word_sums(sys, n, options, zero)]
 
 
 def _atom_count(sys: ConvolutionSystem, n: int) -> int:
@@ -472,24 +466,31 @@ def _min_pairwise_gap(pts: np.ndarray) -> float:
     return best
 
 
+def _close_pairs_sorted(v: np.ndarray, tol: float) -> int:
+    """#pairs i < k of ascending v with v[k] - v[i] < tol."""
+    n = len(v)
+    i = np.arange(n)
+    hi = np.maximum(np.searchsorted(v, v + tol), i + 1)
+    # searchsorted tests v[k] < v[i] + tol, which rounds differently; step
+    # each boundary to where v[k] - v[i] < tol itself turns false
+    while (up := (hi < n) & (v[np.minimum(hi, n - 1)] - v < tol)).any():
+        hi += up
+    while (down := (hi > i + 1) & (v[hi - 1] - v >= tol)).any():
+        hi -= down
+    return int((hi - i - 1).sum())
+
+
 def _near_pairs(pts: np.ndarray, prefixes: np.ndarray,
                 tol: float) -> tuple[int, int]:
     """(#cross-prefix pairs strictly within tol, #cross-prefix pairs)."""
     n = len(pts)
-    same = np.equal.outer(prefixes, prefixes)
-    total_cross = int((~same).sum() // 2)
+    groups, counts = np.unique(prefixes, return_counts=True)
+    total_cross = n * (n - 1) // 2 - int((counts * (counts - 1) // 2).sum())
     if pts.shape[1] == 1:
-        order = np.argsort(pts[:, 0])
-        v = pts[order, 0]
-        pr = prefixes[order]
-        hits = 0
-        for i in range(n):
-            k = i + 1
-            while k < n and v[k] - v[i] < tol:
-                if pr[k] != pr[i]:
-                    hits += 1
-                k += 1
-        return hits, total_cross
+        v = pts[:, 0]
+        same = sum(_close_pairs_sorted(np.sort(v[prefixes == p]), tol)
+                   for p in groups)
+        return _close_pairs_sorted(np.sort(v), tol) - same, total_cross
     hits = 0
     for i in range(n):
         d = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)

@@ -5,7 +5,8 @@ Three instruments, all driven by the truncated Fourier product:
 * the level matrices F_n = [ |mu_{>n}^(lambda)| e^{-2 pi i <b, lambda>} ] /
   sqrt(M_n) and their minimum "singular value", here the minimum eigenvalue
   of F* F (squared classical singular values; this convention is used
-  throughout, including reports);
+  throughout, including reports), read off the tail moduli because the
+  phase part of F_n is unitary;
 * the completeness functional Q(xi) = sum_lambda |mu^(xi + lambda)|^2, which
   equals 1 identically exactly when the frequency set is a spectrum;
 * the transfer operator Rf(xi) = sum_l |m_B(tau_l xi)|^2 f(tau_l xi), whose
@@ -18,20 +19,19 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .cycles import ExtremeCycle, dynamically_simple_spectrum
-from .errors import SizeCap
+from .errors import SizeCap, VerificationFailed
 from .linalg import identity
 from .measures import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
-                       ft_eval_many, ft_tail_eval_many, level_word_sums,
-                       scaled_digit_options)
+                       _atom_count, ft_eval_many, ft_tail_eval_many,
+                       level_word_sums)
 from .triples import HadamardTriple, mask_eval_many, tau_float_many
 
-FN_SIZE_CAP = 4096
+FN_SIZE_CAP = 2 ** 18
 
 
 # -- spectrum generators ------------------------------------------------------
@@ -189,17 +189,19 @@ def lambda_n(sys: ConvolutionSystem, n: int) -> list[tuple[int, ...]]:
 
 @dataclass
 class FnMatrix:
-    """Level matrix with its spectrum, orderings recorded for reproducibility."""
+    """Spectrum of the level matrix F_n, rows recorded for reproducibility.
+
+    `collisions` is always False: build_fn raises on a Lambda_n collision,
+    which only a triple that is not genuinely Hadamard can cause.
+    """
 
     n: int
-    matrix: np.ndarray
     sigma_min: float
     sigmas: np.ndarray            # eigenvalues of F* F, ascending
     lambdas: list[tuple[int, ...]]   # row order (digit-word order)
-    b_points: list[tuple[Fraction, ...]]  # column order (digit-word order)
     tail_moduli: np.ndarray       # |mu_{>n}^(lambda)| per row
     tail_bounds: np.ndarray
-    collisions: bool
+    collisions: bool = False
 
     @property
     def min_tail_modulus(self) -> float:
@@ -209,43 +211,32 @@ class FnMatrix:
 def build_fn(sys: ConvolutionSystem, n: int,
              pol: TruncationPolicy = DEFAULT_POLICY,
              cap: int = FN_SIZE_CAP) -> FnMatrix:
-    """Assemble F_n and its eigenvalue spectrum.
+    """Eigenvalue spectrum of F_n, read off the tail moduli.
 
-    Phases <b, lambda> are accumulated from exact per-level rational dot
-    products reduced mod 1, so the unitary part is bit-reproducible and free
-    of argument-reduction error.
+    F_n = D_n U_n with D_n = diag |mu_{>n}^(lambda)| over lambda in Lambda_n
+    and U_n = [e^{-2 pi i <b_w, lambda>}] / sqrt(M_n) over the level-n atoms
+    b_w. When every level triple is Hadamard, U_n is unitary, so F_n* F_n is
+    unitarily similar to D_n^2 and sigma(F_n) = {|mu_{>n}^(lambda)|^2}, with
+    no matrix built. ConvolutionSystem verifies every triple on
+    construction, the same precondition every transform and tail bound
+    relies on. Distinct digit words of Hadamard triples give orthogonal
+    rows, so a Lambda_n collision means some triple is not genuinely
+    Hadamard and raises VerificationFailed.
     """
-    lambdas = lambda_word_values(sys, n)
-    m_n = len(lambdas)
+    m_n = _atom_count(sys, n)
     if m_n > cap:
         raise SizeCap(f"M_n = {m_n} exceeds cap {cap}")
-    collisions = len(set(lambdas)) != m_n
-    if collisions:
-        warnings.warn(f"Lambda_{n} collisions: criterion is inconclusive",
-                      stacklevel=2)
-    digit_opts = scaled_digit_options(sys, n)
-    zero = np.zeros(sys.dim, dtype=object)
-    b_points = [tuple(b) for b in level_word_sums(sys, n, digit_opts, zero)]
-
-    lam_arr = np.array(lambdas, dtype=float)
-    tail_vals, tail_bounds = ft_tail_eval_many(sys, n, lam_arr, pol)
+    lambdas = lambda_word_values(sys, n)
+    if len(set(lambdas)) != len(lambdas):
+        raise VerificationFailed(
+            f"Lambda_{n} has collisions: some level triple is not Hadamard")
+    tail_vals, tail_bounds = ft_tail_eval_many(
+        sys, n, np.array(lambdas, dtype=float), pol)
     moduli = np.abs(tail_vals)
-
-    # per-level phase tables: frac(<(R_k...R_1)^{-1} b, lambda>) exactly
-    lam_exact = np.array(lambdas, dtype=object)
-
-    def phase_opts(k: int, t: HadamardTriple) -> np.ndarray:
-        return ((digit_opts(k, t) @ lam_exact.T) % 1).astype(float)
-
-    phase = level_word_sums(sys, n, phase_opts, np.zeros(m_n))
-    # phase[w, i] = <b_w, lambda_i> mod 1; rows of F are indexed by lambda
-    f = (moduli[:, None] * np.exp(-2j * np.pi * phase.T)) / math.sqrt(m_n)
-    gram = f.conj().T @ f
-    sigmas = np.linalg.eigvalsh(gram)
-    return FnMatrix(n=n, matrix=f, sigma_min=float(max(sigmas[0], 0.0)),
-                    sigmas=sigmas, lambdas=lambdas, b_points=b_points,
-                    tail_moduli=moduli, tail_bounds=tail_bounds,
-                    collisions=collisions)
+    sigmas = np.sort(moduli ** 2)
+    return FnMatrix(n=n, sigma_min=float(sigmas[0]), sigmas=sigmas,
+                    lambdas=lambdas, tail_moduli=moduli,
+                    tail_bounds=tail_bounds)
 
 
 def strichartz_report(sys: ConvolutionSystem, n_max: int,
@@ -260,20 +251,15 @@ def strichartz_report(sys: ConvolutionSystem, n_max: int,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rows = []
-    inconclusive = False
     for n in range(1, n_max + 1):
         fn = build_fn(sys, n, pol, cap)
-        inconclusive = inconclusive or fn.collisions
         rows.append({"n": n, "sigma_min": fn.sigma_min,
                      "min_tail_modulus": fn.min_tail_modulus})
     floor_sigma = min(r["sigma_min"] for r in rows)
     floor_tail = min(r["min_tail_modulus"] for r in rows)
-    if inconclusive:
-        verdict = "inconclusive: level sets have collisions"
-    else:
-        verdict = (f"criterion holds up to n_max={n_max} with floor "
-                   f"sigma_min={floor_sigma:.6g}, tail={floor_tail:.6g} "
-                   "(no claim about the infimum over all n)")
+    verdict = (f"criterion holds up to n_max={n_max} with floor "
+               f"sigma_min={floor_sigma:.6g}, tail={floor_tail:.6g} "
+               "(no claim about the infimum over all n)")
     return {"levels": rows, "floor_sigma_min": floor_sigma,
             "floor_min_tail_modulus": floor_tail, "verdict": verdict}
 
@@ -316,13 +302,9 @@ def qp_eval(sys: ConvolutionSystem, gen: SpectrumGenerator, xi,
     Monotone nondecreasing in the window; the bound accumulates the
     per-term truncation slack 2|v|b + b^2.
     """
-    lam = gen.level(window)
-    x = np.asarray(xi, dtype=float).reshape(-1)
-    pts = lam + x[None, :]
-    vals, bounds = ft_eval_many(sys, pts, pol)
-    q = float((np.abs(vals) ** 2).sum())
-    slack = float((2 * np.abs(vals) * bounds + bounds ** 2).sum())
-    return QValue(q, len(lam), slack)
+    x = np.asarray(xi, dtype=float).reshape(1, -1)
+    q, slack, terms = _q_grid(sys, gen, x, window, pol)
+    return QValue(float(q[0]), terms, float(slack[0]))
 
 
 def _q_grid(sys: ConvolutionSystem, gen: SpectrumGenerator, grid: np.ndarray,

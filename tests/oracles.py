@@ -196,3 +196,66 @@ def level_letter_reference(kind: str, n_triples: int, word, tail: str,
     if k <= len(seq):
         return seq[k - 1]
     return seq[-1] if tail == "repeat_last" else None
+
+
+def _frac_inverse(m):
+    """Exact inverse of a square integer matrix by Gauss-Jordan elimination."""
+    d = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
+         for i, row in enumerate(m)]
+    for c in range(d):
+        p = next(r for r in range(c, d) if a[r][c] != 0)
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(d):
+            if r != c and a[r][c] != 0:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    return [row[d:] for row in a]
+
+
+def dense_fn_sigmas(levels, lambdas, moduli) -> tuple[np.ndarray, float]:
+    """(eigvalsh(F* F), max |U* U - I|) for the dense level matrix F = D U.
+
+    levels holds plain (R, B) per level 1..n: R an integer or a square
+    integer matrix, B a list of integer digits or digit vectors. The level-n
+    atoms b_w = sum_k (R_k...R_1)^{-1} b_k and the phases <b_w, lambda> mod 1
+    are exact Fractions; U = [e^{-2 pi i <b_w, lambda>}] / sqrt(M_n) has one
+    row per given lambda and D = diag(moduli).
+    """
+    atoms = [[Fraction(0)] * len(np.atleast_1d(lambdas[0]))]
+    cum = None
+    for r, digits in levels:
+        step = _frac_inverse(np.atleast_2d(np.array(r, dtype=object)).tolist())
+        cum = step if cum is None else [
+            [sum(cum[i][k] * step[k][j] for k in range(len(step)))
+             for j in range(len(step))] for i in range(len(cum))]
+        scaled = [[sum(row[j] * int(x) for j, x in enumerate(np.atleast_1d(b)))
+                   for row in cum] for b in digits]
+        atoms = [[a + s for a, s in zip(atom, sb)]
+                 for atom in atoms for sb in scaled]
+    phase = np.array([[float(sum(b * int(x) for b, x in
+                                 zip(atom, np.atleast_1d(lam))) % 1)
+                       for atom in atoms] for lam in lambdas])
+    u = np.exp(-2j * np.pi * phase) / math.sqrt(len(atoms))
+    f = np.asarray(moduli, dtype=float)[:, None] * u
+    unitary_err = float(np.abs(u.conj().T @ u - np.eye(len(atoms))).max())
+    return np.linalg.eigvalsh(f.conj().T @ f), unitary_err
+
+
+def near_pairs_1d_loop(values, prefixes, tol: float) -> int:
+    """Pairs of 1-D points strictly within tol whose prefixes differ.
+
+    The sort-and-scan loop that the vectorised count replaced, kept as its
+    reference.
+    """
+    order = np.argsort(values)
+    v = np.asarray(values)[order]
+    pr = np.asarray(prefixes)[order]
+    hits = 0
+    for i in range(len(v)):
+        k = i + 1
+        while k < len(v) and v[k] - v[i] < tol:
+            if pr[k] != pr[i]:
+                hits += 1
+            k += 1
+    return hits

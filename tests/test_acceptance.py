@@ -276,17 +276,25 @@ def test_c11_invariance_suite(quarter_cantor, lebesgue_triple,
                                     for l in lset}
             nesting_ok &= prev <= cur
             prev = cur
-    diag_err = 0.0
-    for sys in (quarter_cantor_system, lebesgue_system,
-                random_word(two_digit_family, (0, 1, 1, 0))):
+    # sigma(F_n) against the dense F = D U the oracle builds in exact phases
+    diag_err = unitary_err = 0.0
+    word_levels = [(2, [0, 1]), (2, [0, 3]), (2, [0, 3]), (2, [0, 1])]
+    for sys, levels in ((quarter_cantor_system, [(4, [0, 2])] * 4),
+                        (lebesgue_system, [(2, [0, 1])] * 4),
+                        (random_word(two_digit_family, (0, 1, 1, 0)),
+                         word_levels)):
         for n in (2, 4):
             fn = build_fn(sys, n)
-            diag_err = max(diag_err, float(np.abs(
-                np.sort(fn.sigmas) - np.sort(fn.tail_moduli ** 2)).max()))
-    ok = recursion_ok and nesting_ok and diag_err < 1e-8
+            dense, u_err = oracles.dense_fn_sigmas(levels[:n], fn.lambdas,
+                                                   fn.tail_moduli)
+            diag_err = max(diag_err, float(np.abs(fn.sigmas - dense).max()))
+            unitary_err = max(unitary_err, u_err)
+    ok = (recursion_ok and nesting_ok and diag_err < 1e-8
+          and unitary_err < 1e-10)
     _line("invariance suite", ok,
           f"recursion={recursion_ok}, nesting={nesting_ok}, "
-          f"diagonal error {diag_err:.2e}")
+          f"diagonal error {diag_err:.2e}, unitarity error {unitary_err:.2e}")
     assert recursion_ok
     assert nesting_ok
     assert diag_err < 1e-8
+    assert unitary_err < 1e-10

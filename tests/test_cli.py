@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from speclab.cli import main
+from speclab import general_product, triple
+from speclab.cli import _parse_system, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _write(tmp_path: Path, name: str, payload) -> str:
@@ -39,10 +45,79 @@ def test_malformed_system_configs_exit_1(tmp_path):
         {"kind": "bogus", "triples": [QC_TRIPLE]},         # unknown kind
         {"kind": "random_word", "triples": [QC_TRIPLE]},   # missing word
         {"kind": "self_affine", "triples": [TRIPLE_BAD]},  # fails unitarity
+        # fields the kind cannot use
+        {"kind": "self_affine", "triples": [QC_TRIPLE], "tail": "finite"},
+        {"kind": "periodic", "triples": FAMILY, "word": [0, 1],
+         "tail": "finite"},
+        {"kind": "self_affine", "triples": [QC_TRIPLE], "word": [0]},
+        {"kind": "general", "triples": FAMILY, "word": [0, 1]},
+        {"kind": "self_affine", "triples": FAMILY},        # two triples
     ):
         cfg = _write(tmp_path, "sys.json", payload)
         assert main(["strichartz", "--input", cfg, "--out", out,
                      "--window", "2"]) == 1, payload
+
+
+def test_general_system_without_tail_is_finite(tmp_path):
+    sys_ = _parse_system({"kind": "general", "triples": FAMILY}, 1e-9)
+    api = general_product([triple(t["R"], t["B"], t["L"]) for t in FAMILY])
+    assert sys_.finite_length == api.finite_length == 2
+    # past two levels a finite system adds no frequencies: 4, not 2^8
+    for extra, count in (({}, 4), ({"tail": "repeat_last"}, 256)):
+        cfg = _write(tmp_path, "sys.json",
+                     dict({"kind": "general", "triples": FAMILY}, **extra))
+        out = tmp_path / f"out{count}"
+        assert main(["spectrum", "--input", cfg, "--out", str(out),
+                     "--window", "8"]) == 0
+        rep = json.loads((out / "spectrum_report.json").read_text())
+        assert len(rep["frequencies"]) == count
+
+
+def test_missing_fields_exit_1_without_traceback(tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    for command, payload, message in (
+        ("probe", {"triples": [], "word": [0], "probes": [0.5]},
+         "nonempty 'triples' list"),
+        ("tiling", {"triples": [], "lattice": 1}, "nonempty 'triples' list"),
+        ("check", {"system": QC_SYSTEM,
+                   "generator": {"kind": "cycle_spectrum"}},
+         "triple must be an object"),
+        ("check", {"system": QC_SYSTEM, "generator": {"kind": "explicit"}},
+         "explicit generator needs 'points'"),
+    ):
+        cfg = _write(tmp_path, f"{command}.json", payload)
+        proc = subprocess.run(
+            [sys.executable, "-m", "speclab.cli", command, "--input", cfg,
+             "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+
+
+def test_errored_ensemble_samples_exit_1(tmp_path, capsys, monkeypatch):
+    import speclab.ensemble
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(speclab.ensemble, "check_spectrum", boom)
+    monkeypatch.setattr(speclab.ensemble, "lattice_tiling_check", boom)
+    runs = (("random", {"triples": FAMILY}, "random_report.json"),
+            ("tiling", {"triples": FAMILY, "lattice": 1}, "tiling_report.json"))
+    for command, payload, report in runs:
+        cfg = _write(tmp_path, f"{command}.json", payload)
+        out = tmp_path / command
+        assert main([command, "--input", cfg, "--out", str(out),
+                     "--samples", "4", "--word-length", "4", "--threads", "1",
+                     "--pass-threshold", "0.0"]) == 1
+        err = capsys.readouterr().err
+        assert "4 of 4 samples raised" in err
+        assert "RuntimeError: boom" in err
+        rep = json.loads((out / report).read_text())
+        assert all(v["error"] == "RuntimeError: boom" for v in rep["verdicts"])
 
 
 def test_verify_malformed_json_exit_1(tmp_path):

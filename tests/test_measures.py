@@ -190,3 +190,16 @@ def test_no_overlap_sampled_branch(two_digit_family):
     good = random_word(two_digit_family, (1,) + (0,) * 20)
     rep = no_overlap_assess(good, 1, samples=30000, seed=5, extra_depth=13)
     assert rep.detail["mode"] == "sampled" and rep.p_hat == 0
+
+
+def test_near_pairs_1d_matches_loop():
+    from speclab.measures import _near_pairs
+    rng = np.random.default_rng(11)
+    for size, groups, step, tol in ((300, 4, 0.1, 0.3), (500, 7, 0.1, 0.25),
+                                    (200, 3, 1e-3, 1e-12), (64, 1, 0.5, 1.0)):
+        # grid values give ties and differences that round across tol
+        vals = rng.integers(0, size // 5, size=size) * step
+        prefixes = rng.integers(0, groups, size=size)
+        hits, cross = _near_pairs(vals[:, None], prefixes, tol)
+        assert hits == oracles.near_pairs_1d_loop(vals, prefixes, tol)
+        assert cross == int((prefixes[:, None] != prefixes[None, :]).sum()) // 2

@@ -1,11 +1,13 @@
-"""Property tests of the level sequence and the certified tail bound."""
+"""Property tests of the level sequence, the certified tail bound and the
+level-matrix spectrum."""
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from speclab import (TruncationPolicy, ft_eval_many, general_product,
-                     periodic_word, random_word, self_affine, triple)
+from speclab import (TruncationPolicy, build_fn, ft_eval_many,
+                     general_product, periodic_word, random_word, self_affine,
+                     triple)
 
 import oracles
 
@@ -68,3 +70,17 @@ def test_tail_bound_sound_on_random_words(word, tail, xs):
                     min_size=1, max_size=4))
 def test_tail_bound_sound_for_multi_step_scaling(pts):
     _assert_tail_bound_sound(self_affine(MULTI_STEP), np.array(pts))
+
+
+@given(word=st.lists(st.integers(0, 1), min_size=1, max_size=8),
+       n=st.integers(1, 6))
+def test_fn_sigmas_match_dense_oracle(word, n):
+    """sigma(F_n) read off the tail moduli equals eigvalsh of the dense F."""
+    fn = build_fn(random_word(FAMILY[:2], word), n)
+    digits = ([0, 1], [0, 3])
+    levels = [(2, digits[oracles.level_letter_reference(
+        "random_word", 2, word, "repeat_last", k)]) for k in range(1, n + 1)]
+    dense, unitary_err = oracles.dense_fn_sigmas(levels, fn.lambdas,
+                                                 fn.tail_moduli)
+    assert unitary_err < 1e-10
+    assert np.abs(fn.sigmas - dense).max() < 1e-8

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from speclab import (CycleSpectrumGenerator, ExplicitGenerator,
-                     LatticeGenerator, LevelSetsGenerator, SizeCap, build_fn,
-                     check_spectrum, find_extreme_cycles, general_product,
-                     lambda_n, make_q_evaluator, orthogonality_check, qp_eval,
+                     LatticeGenerator, LevelSetsGenerator, SizeCap,
+                     VerificationFailed, build_fn, check_spectrum,
+                     find_extreme_cycles, general_product, lambda_n,
+                     make_q_evaluator, orthogonality_check, qp_eval,
                      random_word, self_affine, strichartz_report,
                      tail_factor_scan, transfer_apply, triple, uniform_grid)
 
@@ -38,9 +39,8 @@ def test_lambda_collision_warns():
     with pytest.warns(UserWarning, match="collision"):
         vals = lambda_n(sys, 2)
     assert len(vals) == 8  # nine digit words, one coincidence
-    with pytest.warns(UserWarning, match="inconclusive"):
-        fn = build_fn(sys, 2)
-    assert fn.collisions
+    with pytest.raises(VerificationFailed, match="collisions"):
+        build_fn(sys, 2)
 
 
 def test_build_fn_trivial_tail_is_unitary(lebesgue_triple):
@@ -64,16 +64,20 @@ def test_build_fn_quarter_cantor_levels(quarter_cantor_system):
     assert fn1.sigma_min == pytest.approx(0.8448099, abs=1e-6)
 
 
+def _assert_matches_dense_oracle(fn, levels):
+    """fn.sigmas against eigvalsh of the dense F = D U built by the oracle."""
+    dense, unitary_err = oracles.dense_fn_sigmas(levels, fn.lambdas,
+                                                 fn.tail_moduli)
+    assert unitary_err < 1e-10
+    assert np.abs(fn.sigmas - dense).max() < 1e-8
+
+
 def test_build_fn_diagonal_structure(quarter_cantor_system, lebesgue_system):
-    for sys in (quarter_cantor_system, lebesgue_system):
+    for sys, level in ((quarter_cantor_system, (4, [0, 2])),
+                       (lebesgue_system, (2, [0, 1]))):
         fn = build_fn(sys, 4)
         assert not fn.collisions
-        assert np.abs(np.sort(fn.sigmas) -
-                      np.sort(fn.tail_moduli ** 2)).max() < 1e-8
-        # unitary part: F with moduli divided out has orthonormal columns
-        h = fn.matrix / fn.tail_moduli[:, None]
-        gram = h.conj().T @ h
-        assert np.abs(gram - np.eye(len(gram))).max() < 1e-10
+        _assert_matches_dense_oracle(fn, [level] * 4)
 
 
 def test_build_fn_special_case_inequality(quarter_cantor_system,
@@ -91,7 +95,9 @@ def test_build_fn_two_dimensional_block_system():
     assert len(lambda_n(sys, 2)) == 16
     fn = build_fn(sys, 2)
     assert not fn.collisions
-    assert np.abs(np.sort(fn.sigmas) - np.sort(fn.tail_moduli ** 2)).max() < 1e-8
+    t = sys.triples[0]
+    level = ([list(r) for r in t.R.rows], [list(b) for b in t.B.vectors])
+    _assert_matches_dense_oracle(fn, [level] * 2)
     assert fn.sigma_min >= fn.min_tail_modulus ** 2 - 1e-8
 
 
