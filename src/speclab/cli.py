@@ -2,27 +2,11 @@
 
 JSON configs in, JSON/CSV reports out. Exit codes: 0 = pass, 2 = the
 mathematical check ran and failed, 1 = operational error (bad input,
-malformed JSON, missing file, an ensemble sample that raised), so shell
-pipelines can tell mathematics from tooling.
+malformed JSON, a field of the wrong type, a usage error on the command
+line, missing file, an ensemble sample that raised), so shell pipelines can
+tell mathematics from tooling.
 
-Input schemas (also in the README):
-
-  triple:    {"R": 2 | [[...]], "B": [0,1] | [[...]], "L": [0,1]}
-  system:    {"kind": "self_affine"|"periodic"|"random_word"|"general",
-              "triples": [triple, ...], "word": [ints],
-              "tail": "repeat_last"|"finite"}   (which kind takes which
-             field, and the tail defaults: see the README)
-  generator: {"kind": "lattice", "basis": 1 | [[...]]}
-           | {"kind": "cycle_spectrum", "triple": triple, "mmax": 6}
-           | {"kind": "level_sets"}
-           | {"kind": "explicit", "points": [...]}
-  check:     {"system": system, "generator": generator}
-  quasiproduct: {"R1":..., "a":[...], "L1":[...], "R":...,
-                 "B_family":[[...],...], "L":[...], "C":... (optional)}
-  random:    {"triples":[...], "generator": generator}
-  tiling:    {"system": system, "lattice": 1 | [[...]]}
-  probe:     {"triples":[...], "word":[...], "generator": generator,
-              "probes":[...]}
+Input schemas: see the CLI section of the README.
 """
 
 from __future__ import annotations
@@ -41,7 +25,7 @@ from .cycles import (dynamically_simple_spectrum, find_extreme_cycles,
                      search_summary)
 from .ensemble import (EnsembleConfig, counterexample_probe,
                        ensemble_spectrum_report, ensemble_tiling_report)
-from .errors import NonIntegerElement, SpeclabError
+from .errors import NonIntegerElement, SpeclabError, VerificationFailed
 from .measures import (ConvolutionSystem, TruncationPolicy, general_product,
                        periodic_word, random_word, self_affine)
 from .quasiproduct import (build_quasi_product, describe_spec,
@@ -56,21 +40,40 @@ class CliError(Exception):
     """Operational error: maps to exit code 1."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, since 2 means a mathematical check failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return _object(json.load(fh), "input")
     except FileNotFoundError as exc:
         raise CliError(f"input file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _parse_triple(obj, tol: float, verify: bool = True) -> HadamardTriple:
+def _object(obj, what: str) -> dict:
     if not isinstance(obj, dict):
-        raise CliError(f"triple must be an object, got {type(obj).__name__}")
+        raise CliError(f"{what} must be an object, got {json.dumps(obj)}")
+    return obj
+
+
+def _word(obj: dict) -> list[int]:
+    word = obj.get("word", [])
+    if not isinstance(word, list) or any(type(x) is not int for x in word):
+        raise CliError(f"'word' must be a list of integers, got {json.dumps(word)}")
+    return word
+
+
+def _parse_triple(obj, tol: float, verify: bool = True) -> HadamardTriple:
     for key in ("R", "B", "L"):
-        if key not in obj:
+        if key not in _object(obj, "triple"):
             raise CliError(f"triple is missing field {key!r}")
     try:
         return triple(obj["R"], obj["B"], obj["L"], tol=tol, require=verify)
@@ -91,15 +94,15 @@ _UNUSABLE = {"self_affine": ("tail", "word"), "periodic": ("tail",),
              "general": ("word",)}
 
 
-def _parse_system(obj: dict, tol: float) -> ConvolutionSystem:
-    kind = obj.get("kind")
+def _parse_system(obj, tol: float) -> ConvolutionSystem:
+    kind = _object(obj, "system").get("kind")
     for key in _UNUSABLE.get(kind, ()):
         if key in obj:
             raise CliError(f"{kind} system takes no {key!r} field")
     triples = _parse_family(obj, tol)
     if kind == "self_affine" and len(triples) != 1:
         raise CliError("self_affine system takes exactly one triple")
-    word = obj.get("word") or []
+    word = _word(obj)
     # each factory keeps its own default tail unless the input names one
     tail = {"tail": obj["tail"]} if "tail" in obj else {}
     try:
@@ -123,24 +126,33 @@ def _numeric(x) -> float:
             return float(Fraction(x))
         except (ValueError, ZeroDivisionError) as exc:
             raise CliError(f"bad rational entry {x!r}") from exc
+    if type(x) not in (int, float):
+        raise CliError(f"expected a number or a 'p/q' string, got {json.dumps(x)}")
     return float(x)
 
 
 def _numeric_array(x) -> np.ndarray:
     if isinstance(x, (list, tuple)):
-        return np.array([_numeric_array(v) for v in x])
+        rows = [_numeric_array(v) for v in x]
+        if len({r.shape for r in rows}) > 1:
+            raise CliError(f"ragged array: {json.dumps(x)}")
+        return np.array(rows)
     return np.array(_numeric(x))
 
 
-def _parse_generator(obj: dict, args) -> object:
-    kind = obj.get("kind")
+def _parse_generator(obj, args, sysm: ConvolutionSystem | None = None):
+    kind = _object(obj, "generator").get("kind")
+    if kind == "level_sets" and sysm is not None:
+        return LevelSetsGenerator(sysm)
     if kind == "lattice":
         basis = _numeric_array(obj.get("basis", 1))
         return LatticeGenerator(np.atleast_2d(basis))
     if kind == "cycle_spectrum":
         t = _parse_triple(obj.get("triple"), args.tol)
-        cycles = find_extreme_cycles(t, obj.get("mmax", args.mmax))
-        return CycleSpectrumGenerator(t, cycles)
+        mmax = obj.get("mmax", args.mmax)
+        if type(mmax) is not int or mmax < 1:
+            raise CliError(f"'mmax' must be a positive integer, got {json.dumps(mmax)}")
+        return CycleSpectrumGenerator(t, find_extreme_cycles(t, mmax))
     if kind == "explicit":
         if "points" not in obj:
             raise CliError("explicit generator needs 'points'")
@@ -238,8 +250,7 @@ def cmd_check(args) -> int:
     if "system" not in obj or "generator" not in obj:
         raise CliError("check config needs 'system' and 'generator'")
     sysm = _parse_system(obj["system"], args.tol)
-    gen = (LevelSetsGenerator(sysm) if obj["generator"].get("kind") == "level_sets"
-           else _parse_generator(obj["generator"], args))
+    gen = _parse_generator(obj["generator"], args, sysm)
     report = check_spectrum(sysm, gen, args.grid, window=args.window,
                             pol=_policy(args))
     report.params["cli"] = _effective(args)
@@ -272,9 +283,11 @@ def cmd_quasiproduct(args) -> int:
         big = build_quasi_product(spec, tol=args.tol)
     except KeyError as exc:
         raise CliError(f"quasiproduct config missing field {exc}") from exc
-    except (ValueError, SpeclabError) as exc:
+    except VerificationFailed as exc:
         print(f"quasiproduct assembly failed: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, TypeError, SpeclabError) as exc:
+        raise CliError(f"bad quasiproduct config: {exc}") from exc
     payload = {"config": _effective(args), "spec": describe_spec(spec),
                "triple": {"R": [list(r) for r in big.R.rows],
                           "B": [list(b) for b in big.B.vectors],
@@ -347,14 +360,15 @@ def cmd_tiling(args) -> int:
 
 def cmd_probe(args) -> int:
     obj = _load_json(args.input)
-    triples = _parse_family(obj, args.tol)
     if "word" not in obj or "probes" not in obj:
         raise CliError("probe config needs 'word' and 'probes'")
+    sysm = _parse_system({**obj, "kind": "random_word"}, args.tol)
     gen = _parse_generator(obj.get("generator", {"kind": "lattice", "basis": 1}),
                            args)
-    rep = counterexample_probe(triples, obj["word"], gen, obj["probes"],
+    rep = counterexample_probe(sysm.triples, sysm.word, gen,
+                               _numeric_array(obj["probes"]),
                                window=args.window, pol=_policy(args),
-                               tail=obj.get("tail", "repeat_last"))
+                               tail=sysm.tail)
     payload = rep.to_dict()
     payload["config"]["cli"] = _effective(args)
     _write_json(_out_dir(args) / "probe_report.json", payload)
@@ -364,7 +378,7 @@ def cmd_probe(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="speclab",
         description="Spectral-measure toolkit: verify Hadamard triples, "
                     "enumerate extreme cycles, sweep completeness functionals, "

@@ -227,21 +227,27 @@ def solve_exact(a, v) -> RatVector:
     return rat_solve(rows, v)
 
 
+def adjugate(m: IntMatrix) -> IntMatrix:
+    """Exact adjugate: M adj(M) = det(M) I, so M^{-1} = adj(M) / det(M)."""
+    d = m.dim
+    if d == 1:
+        return IntMatrix(((1,),))
+
+    def cofactor(i: int, j: int) -> int:
+        minor = tuple(tuple(x for c, x in enumerate(row) if c != j)
+                      for r, row in enumerate(m.rows) if r != i)
+        return (-1) ** (i + j) * det(IntMatrix(minor))
+
+    return IntMatrix(tuple(tuple(cofactor(j, i) for j in range(d))
+                           for i in range(d)))
+
+
 def rat_inverse(m: IntMatrix) -> RatMatrix:
     """Exact inverse of an integer matrix as a Fraction matrix."""
-    d = m.dim
-    a = m.as_fractions()
-    cols = []
-    for j in range(d):
-        e = tuple(Fraction(1 if i == j else 0) for i in range(d))
-        cols.append(rat_solve(a, e))
-    return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-
-
-def rat_matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    d = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(d))
-                       for j in range(d)) for i in range(d))
+    dt = det(m)
+    if dt == 0:
+        raise SingularMatrix("matrix is singular")
+    return tuple(tuple(Fraction(x, dt) for x in row) for row in adjugate(m).rows)
 
 
 def rat_apply(a: RatMatrix, v: Sequence[Fraction]) -> RatVector:
@@ -278,15 +284,7 @@ def contraction_factor(r) -> float:
     Raises NotContractive when the norm is >= 1 even though R may be
     expansive; callers then fall back to `multi_step_contraction`.
     """
-    r = as_int_matrix(r)
-    if det(r) == 0:
-        raise SingularMatrix("matrix is singular")
-    inv_t = np.linalg.inv(r.as_numpy().T)
-    c = float(np.linalg.norm(inv_t, 2))
-    if c >= 1.0:
-        raise NotContractive(
-            f"||(R^T)^-1||_2 = {c:.6g} >= 1; use multi_step_contraction")
-    return c
+    return inv_transpose_series([r], max_steps=1).c
 
 
 def multi_step_contraction(r, max_steps: int = 32) -> tuple[int, float]:
@@ -353,10 +351,3 @@ def inv_transpose_series(rs: Iterable, max_steps: int = 32) -> NormSeries:
     raise NotContractive(
         f"no contracting power of (R^T)^-1 within {max_steps} steps")
 
-
-def inv_transpose_norm_series(r, rel_margin: float = 1e-9) -> float:
-    """Upper bound on sum_{j>=1} ||(R^T)^{-j}||_2, with a relative margin.
-
-    Used for cycle containment radii when the one-step norm is not < 1.
-    """
-    return inv_transpose_series([r]).tail(0) * (1.0 + rel_margin)

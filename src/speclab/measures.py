@@ -12,13 +12,15 @@ c bounding the per-level contraction of the inverse transposes,
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import (inv_transpose_series, rat_apply, rat_inverse, rat_matmul,
-                     residue_classes_distinct)
+from .linalg import (adjugate, det, identity, inv_transpose_series,
+                     rat_apply, residue_classes_distinct)
 from .triples import HadamardTriple
 
 DEFAULT_TARGET = 1e-10
@@ -177,37 +179,41 @@ class ConvolutionSystem:
             k = min(k, fin)
         return max(k, 1)
 
-    def _inv_t_mats(self, upto: int) -> np.ndarray:
-        """Float (R_k^T)^{-1} per level, shape (upto, d, d)."""
-        cache = self._caches.setdefault("inv_t", [])
-        while len(cache) < upto:
-            k = len(cache) + 1
-            t = self.triple_at(k)
-            if t is None:
-                cache.append(np.eye(self.dim))
-            else:
-                cache.append(np.linalg.inv(t.R.as_numpy().T))
-        return np.array(cache[:upto])
+    def _level_table(self, upto: int) -> list[tuple[tuple, int]]:
+        """C_k = (R_k...R_1)^{-1} = N_k / D_k, k = 1..upto, as (N_k rows, D_k).
 
-    def _digit_arrays(self, upto: int) -> list[np.ndarray | None]:
-        out = []
-        for k in range(1, upto + 1):
-            t = self.triple_at(k)
-            out.append(None if t is None else t.B.as_numpy())
-        return out
+        The one place C_k is built: C_k = C_{k-1} adj(R_k) / det(R_k) keeps
+        N_k and D_k integers, and C_k = C_{k-1} past a finite tail.
+        """
+        table = self._caches.setdefault("levels", [])
+        if len(table) < upto:
+            steps = {r: (tuple(zip(*adjugate(r).rows)), det(r))
+                     for r in {t.R for t in self.triples}}
+            num, den = table[-1] if table else (identity(self.dim).rows, 1)
+            for k in range(len(table) + 1, upto + 1):
+                if (t := self.triple_at(k)) is not None:
+                    cols, det_r = steps[t.R]
+                    num = tuple(tuple(sum(map(operator.mul, row, col))
+                                      for col in cols) for row in num)
+                    den *= det_r
+                table.append((num, den))
+        return table[:upto]
 
     def cumulative_inverse_exact(self, upto: int) -> list:
         """Exact (R_k...R_1)^{-1} as Fraction matrices for k = 1..upto."""
-        cache = self._caches.setdefault("cum_inv", [])
-        while len(cache) < upto:
-            k = len(cache) + 1
-            t = self.triple_at(k)
-            if t is None:
-                cache.append(cache[-1])
-                continue
-            step = rat_inverse(t.R)
-            cache.append(step if k == 1 else rat_matmul(cache[-1], step))
-        return cache[:upto]
+        return [tuple(tuple(Fraction(x, den) for x in row) for row in num)
+                for num, den in self._level_table(upto)]
+
+    def cumulative_inverse(self, upto: int) -> np.ndarray:
+        """(R_k...R_1)^{-1} for k = 1..upto, shape (upto, d, d), each entry
+        its exact value rounded once: no rounding compounds across levels."""
+        flt = self._caches.get("levels_float", np.empty((0, self.dim, self.dim)))
+        if len(flt) < upto:
+            rows = [[[x / den for x in row] for row in num]
+                    for num, den in self._level_table(upto)]
+            flt = np.array(rows, dtype=float).reshape(-1, self.dim, self.dim)
+            self._caches["levels_float"] = flt
+        return flt[:upto]
 
 
 # -- factories --------------------------------------------------------------
@@ -250,15 +256,18 @@ def _as_points(sys: ConvolutionSystem, xi) -> np.ndarray:
 
 def _ft_product(sys: ConvolutionSystem, pts: np.ndarray, depth: int,
                 skip_upto: int = 0) -> np.ndarray:
-    """prod_{skip_upto < k <= depth} conj(m_{B_k})((R_k...R_1)^{-T} xi)."""
+    """prod_{skip_upto < k <= depth} conj(m_{B_k})((R_k...R_1)^{-T} xi).
+
+    With xi as a row, eta_k = xi C_k comes straight from the level table,
+    so the skipped levels cost nothing.
+    """
     vals = np.ones(len(pts), dtype=complex)
-    eta = pts.copy()
-    mats = sys._inv_t_mats(depth)
-    digits = sys._digit_arrays(depth)
-    for k in range(1, depth + 1):
-        eta = eta @ mats[k - 1].T
-        if k > skip_upto and digits[k - 1] is not None:
-            vals *= np.exp(-2j * np.pi * (eta @ digits[k - 1].T)).mean(axis=1)
+    cum = sys.cumulative_inverse(depth)
+    for k in range(skip_upto + 1, depth + 1):
+        t = sys.triple_at(k)
+        if t is not None:
+            phase = (pts @ cum[k - 1]) @ t.B.as_numpy().T
+            vals *= np.exp(-2j * np.pi * phase).mean(axis=1)
     return vals
 
 
@@ -439,16 +448,15 @@ def _sample_atoms(sys: ConvolutionSystem, m: int, count: int, rng):
     """(digit words, float atom positions) for `count` random level-m atoms."""
     words = np.zeros((count, m), dtype=np.int64)
     pts = np.zeros((count, sys.dim))
-    cum = np.eye(sys.dim)
+    cum = sys.cumulative_inverse(m)
     for k in range(1, m + 1):
         t = sys.triple_at(k)
         if t is None:
             break
-        cum = cum @ np.linalg.inv(t.R.as_numpy())
         digits = t.B.as_numpy()
         idx = rng.integers(0, len(digits), size=count)
         words[:, k - 1] = idx
-        pts += digits[idx] @ cum.T
+        pts += digits[idx] @ cum[k - 1].T
     return words, pts
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPadding, VerificationFailed
-from .linalg import IntMatrix, as_int_matrix, as_int_vector, rat_inverse
+from .linalg import (IntMatrix, as_int_matrix, as_int_vector,
+                     inv_transpose_series, rat_inverse)
 from .measures import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
                        ft_eval_many, random_word, self_affine)
 from .spectra import AnalysisReport, ProductGenerator, SpectrumGenerator, \
@@ -174,28 +175,25 @@ def fiber_system(spec: QuasiProductSpec, word, tail: str = "repeat_last",
         raise ValueError("word digits out of range for the outer digit set")
     sys = random_word(spec.inner_triples(), w, tail=tail)
 
-    r1_inv = np.linalg.inv(np.array(spec.R1.rows, dtype=float))
     a = np.array([list(x) for x in spec.a], dtype=float)
+    r1_pows = self_affine(spec.outer_triple()).cumulative_inverse(depth)  # R1^{-k}
     base = np.zeros(spec.outer_dim)
-    r1_pow = np.eye(spec.outer_dim)
     for k in range(1, depth + 1):
-        wk = sys.letter_at(k)
-        if wk is None:
-            break
-        r1_pow = r1_pow @ r1_inv                    # R1^{-k}
-        base += r1_pow @ a[wk]
-    shear, shear_bound = _shear_series(spec, sys, depth)
-    c1 = float(np.linalg.norm(r1_inv, 2))
+        if (wk := sys.letter_at(k)) is not None:
+            base += r1_pows[k - 1] @ a[wk]
+    shear, shear_bound = _shear_series(spec, sys, depth, r1_pows)
+    # ||R1^{-k}||_2 = ||(R1^T)^{-k}||_2, so the norm series bounds the rest
     amax = float(np.linalg.norm(a, axis=1).max()) if len(a) else 0.0
-    base_bound = amax * c1 ** (depth + 1) / (1 - c1) if c1 < 1 else np.inf
+    base_bound = amax * inv_transpose_series([spec.R1]).tail(depth)
     return FiberDecomposition(sys, base, base_bound, shear, shear_bound)
 
 
-def _shear_series(spec: QuasiProductSpec, sys: ConvolutionSystem,
-                  depth: int) -> tuple[np.ndarray, float]:
+def _shear_series(spec: QuasiProductSpec, sys: ConvolutionSystem, depth: int,
+                  r1_pows: np.ndarray) -> tuple[np.ndarray, float]:
     """g(omega) = sum_k D_k a_{omega_k} over the fibre's levels k <= depth,
     with D_k = -sum_{j=0}^{k-1} R^{-(j+1)} C R1^{-(k-j)}, and a bound on
-    the rest.
+    the rest. r1_pows[k-1] = R1^{-k}; R^{-k} is the fibre's own level table,
+    since all its levels share R.
 
     With g = max(||R1^{-1}||, ||R^{-1}||) < 1, each of the k terms of D_k has
     norm at most ||C|| g^{k+1}, so the levels beyond depth add at most
@@ -208,16 +206,11 @@ def _shear_series(spec: QuasiProductSpec, sys: ConvolutionSystem,
     r_inv = np.linalg.inv(np.array(spec.R.rows, dtype=float))
     a = np.array([list(x) for x in spec.a], dtype=float)
     out = np.zeros(spec.inner_dim)
-    r_pows = [np.eye(spec.inner_dim)]
-    r1_pows = [np.eye(spec.outer_dim)]
-    for _ in range(depth + 1):
-        r_pows.append(r_inv @ r_pows[-1])
-        r1_pows.append(r1_inv @ r1_pows[-1])
+    r_pows = sys.cumulative_inverse(depth)
     for k in range(1, depth + 1):
-        wk = sys.letter_at(k)
-        if wk is None:
+        if (wk := sys.letter_at(k)) is None:
             break
-        d_k = -sum(r_pows[j + 1] @ c @ r1_pows[k - j] for j in range(k))
+        d_k = -sum(r_pows[j] @ c @ r1_pows[k - j - 1] for j in range(k))
         out += d_k @ a[wk]
     g = max(float(np.linalg.norm(r1_inv, 2)), float(np.linalg.norm(r_inv, 2)))
     if g >= 1:
@@ -324,18 +317,21 @@ def dual_lattice_basis(spatial_basis) -> np.ndarray:
 
 
 def _hnf_sublattices(dim: int, max_index: int):
-    """Hermite-normal-form bases of sublattices of Z^dim, index <= max_index."""
-    if dim == 1:
-        for k in range(1, max_index + 1):
-            yield np.array([[k]])
+    """Hermite-normal-form bases of sublattices of Z^dim, index <= max_index.
+
+    Lower triangular, with each off-diagonal entry in range of its row's
+    diagonal: the diagonal entry a first, then the (dim-1)-block of index
+    <= max_index // a, then the column entries below a.
+    """
+    if dim == 0:
+        yield np.zeros((0, 0), dtype=int)
         return
-    if dim == 2:
-        for a in range(1, max_index + 1):
-            for b in range(1, max_index // a + 1):
-                for c in range(b):
-                    yield np.array([[a, 0], [c, b]])
-        return
-    raise NotImplementedError("lattice search implemented for dim <= 2")
+    for a in range(1, max_index + 1):
+        for block in _hnf_sublattices(dim - 1, max_index // a):
+            for col in itertools.product(*map(range, np.diag(block))):
+                basis = np.zeros((dim, dim), dtype=int)
+                basis[0, 0], basis[1:, 0], basis[1:, 1:] = a, col, block
+                yield basis
 
 
 def find_tiling_lattice(sys: ConvolutionSystem, window: int = 64,

@@ -27,8 +27,8 @@ from .cycles import ExtremeCycle, dynamically_simple_spectrum
 from .errors import SizeCap, VerificationFailed
 from .linalg import identity
 from .measures import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
-                       _atom_count, ft_eval_many, ft_tail_eval_many,
-                       level_word_sums)
+                       _atom_count, _ft_product, ft_eval_many,
+                       ft_tail_eval_many, level_word_sums)
 from .triples import HadamardTriple, mask_eval_many, tau_float_many
 
 FN_SIZE_CAP = 2 ** 18
@@ -270,17 +270,8 @@ def tail_factor_scan(sys: ConvolutionSystem, n_max: int, depth: int = 20) -> flo
     best = 1.0
     for n in range(1, n_max + 1):
         lam = np.array(lambda_n(sys, n), dtype=float)
-        eta = lam.copy()
-        mats = sys._inv_t_mats(n + depth)
-        for k in range(1, n + depth + 1):
-            eta = eta @ mats[k - 1].T
-            if k <= n:
-                continue
-            t = sys.triple_at(k)
-            if t is None:
-                continue
-            m = np.abs(mask_eval_many(t.B, eta))
-            best = min(best, float(m.min()))
+        for k in range(n + 1, n + depth + 1):
+            best = min(best, float(np.abs(_ft_product(sys, lam, k, k - 1)).min()))
     return best
 
 

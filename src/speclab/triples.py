@@ -13,10 +13,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotContractive, VerificationFailed
+from .errors import DimensionMismatch, VerificationFailed
 from .linalg import (IntMatrix, as_int_matrix, as_int_vector, as_rat_vector,
-                     contraction_factor, inv_transpose_norm_series,
-                     is_expansive, rat_apply, rat_inverse, RatVector)
+                     contraction_factor, inv_transpose_series, is_expansive,
+                     rat_apply, rat_inverse, RatVector)
 
 DEFAULT_TOL = 1e-9
 
@@ -207,36 +207,29 @@ def invariant_ball_radius(r, freqs: FrequencySet | Iterable,
     """Radius r with tau_l(B_r) inside B_r for every l in L.
 
     With M = max_l |(R^T)^{-1} l| and c = ||(R^T)^{-1}||_2 < 1, any
-    r >= M/(1-c) works: |tau_l(x)| <= c|x| + M. The returned radius carries
-    a small relative margin so the containment is strict; it also bounds
-    every cycle point, since a cycle point is sum_j (R^T)^{-j} l_j over its
-    (rotated, repeated) word.
+    r >= M/(1-c) works: |tau_l(x)| <= c|x| + M. That is the cycle
+    containment radius of a one-step contraction, margin included; when
+    c >= 1 no such ball need exist and NotContractive is raised.
     """
-    rm = as_int_matrix(r)
-    fs = freqs if isinstance(freqs, FrequencySet) else FrequencySet.of(freqs)
-    inv_t = np.linalg.inv(rm.as_numpy().T)
-    m = float(np.linalg.norm(fs.as_numpy() @ inv_t.T, axis=1).max())
-    c = contraction_factor(rm)  # NotContractive propagates to the caller
-    return m / (1.0 - c) * (1.0 + margin)
+    contraction_factor(r)  # NotContractive propagates to the caller
+    return cycle_containment_radius(r, freqs, margin)
 
 
 def cycle_containment_radius(r, freqs: FrequencySet | Iterable,
                              margin: float = 1e-6) -> float:
     """Radius certified to contain every cycle point of the dual maps.
 
-    Falls back to a k-step norm series when (R^T)^{-1} is not a one-step
-    contraction; in that regime no one-step invariant Euclidean ball need
-    exist, but cycle points are still bounded by
-    max|l| * sum_j ||(R^T)^{-j}||.
+    With S = (R^T)^{-1} and M = max_l |S l|, a cycle point is
+    x = sum_{j>=1} S^j l_j over its (rotated, repeated) word, so
+    |x| <= M sum_{j>=0} ||S^j||_2 = M (1 + tail(0)) by the norm series,
+    whether S contracts in one step or only in several. The radius carries
+    a small relative margin so the containment is strict.
     """
+    rm = as_int_matrix(r)
     fs = freqs if isinstance(freqs, FrequencySet) else FrequencySet.of(freqs)
-    try:
-        return invariant_ball_radius(r, fs, margin)
-    except NotContractive:
-        rm = as_int_matrix(r)
-        series = inv_transpose_norm_series(rm)
-        lmax = float(np.linalg.norm(fs.as_numpy(), axis=1).max())
-        return lmax * series * (1.0 + margin)
+    inv_t = np.linalg.inv(rm.as_numpy().T)
+    m = float(np.linalg.norm(fs.as_numpy() @ inv_t.T, axis=1).max())
+    return m * (1.0 + inv_transpose_series([rm]).tail(0)) * (1.0 + margin)
 
 
 def parseval_defect(t: HadamardTriple, xi) -> float:

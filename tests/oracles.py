@@ -213,6 +213,31 @@ def _frac_inverse(m):
     return [row[d:] for row in a]
 
 
+def cumulative_inverses(rs) -> list[list[list[Fraction]]]:
+    """(R_k...R_1)^{-1} = R_1^{-1} ... R_k^{-1} for k = 1..len(rs), as exact
+    Fraction matrices built level by level; each R an integer or a square
+    integer matrix."""
+    out, cum = [], None
+    for r in rs:
+        step = _frac_inverse(np.atleast_2d(np.array(r, dtype=object)).tolist())
+        cum = step if cum is None else [
+            [sum(cum[i][k] * step[k][j] for k in range(len(step)))
+             for j in range(len(step))] for i in range(len(cum))]
+        out.append(cum)
+    return out
+
+
+def level_product_ft(levels, xi: float) -> complex:
+    """Finite 1-D product prod_k mean_b exp(-2 pi i b xi / (r_1...r_k)) over
+    plain (r, digits) levels: the transform of a finite convolution."""
+    out, scale = 1 + 0j, 1
+    for r, digits in levels:
+        scale *= r
+        out *= sum(cmath.exp(-2j * math.pi * b * xi / scale)
+                   for b in digits) / len(digits)
+    return out
+
+
 def dense_fn_sigmas(levels, lambdas, moduli) -> tuple[np.ndarray, float]:
     """(eigvalsh(F* F), max |U* U - I|) for the dense level matrix F = D U.
 
@@ -223,12 +248,8 @@ def dense_fn_sigmas(levels, lambdas, moduli) -> tuple[np.ndarray, float]:
     row per given lambda and D = diag(moduli).
     """
     atoms = [[Fraction(0)] * len(np.atleast_1d(lambdas[0]))]
-    cum = None
-    for r, digits in levels:
-        step = _frac_inverse(np.atleast_2d(np.array(r, dtype=object)).tolist())
-        cum = step if cum is None else [
-            [sum(cum[i][k] * step[k][j] for k in range(len(step)))
-             for j in range(len(step))] for i in range(len(cum))]
+    cums = cumulative_inverses([r for r, _ in levels])
+    for cum, (_, digits) in zip(cums, levels):
         scaled = [[sum(row[j] * int(x) for j, x in enumerate(np.atleast_1d(b)))
                    for row in cum] for b in digits]
         atoms = [[a + s for a, s in zip(atom, sb)]

@@ -85,6 +85,30 @@ def test_missing_fields_exit_1_without_traceback(tmp_path):
          "triple must be an object"),
         ("check", {"system": QC_SYSTEM, "generator": {"kind": "explicit"}},
          "explicit generator needs 'points'"),
+        # fields of the wrong type
+        ("check", {"system": QC_SYSTEM,
+                   "generator": {"kind": "lattice", "basis": {"a": 1}}},
+         "expected a number"),
+        ("tiling", {"system": QC_SYSTEM, "lattice": {"a": 1}},
+         "expected a number"),
+        ("check", {"system": QC_SYSTEM, "generator": [1]},
+         "generator must be an object"),
+        ("check", {"system": [1], "generator": {"kind": "lattice"}},
+         "system must be an object"),
+        ("random", {"triples": FAMILY, "generator": "lattice"},
+         "generator must be an object"),
+        ("check", {"system": QC_SYSTEM,
+                   "generator": {"kind": "cycle_spectrum", "triple": QC_TRIPLE,
+                                 "mmax": "x"}},
+         "'mmax' must be a positive integer"),
+        ("check", {"system": QC_SYSTEM,
+                   "generator": {"kind": "explicit", "points": [[1], [1, 2]]}},
+         "ragged array"),
+        ("probe", {"triples": FAMILY, "word": "ab", "probes": [0.5]},
+         "'word' must be a list of integers"),
+        ("quasiproduct", {"R1": 2, "a": [0, 1], "L1": [0, 1], "R": 2,
+                          "B_family": [[0, 1], [0, 3]], "L": [0, 1], "C": "x"},
+         "bad quasiproduct config"),
     ):
         cfg = _write(tmp_path, f"{command}.json", payload)
         proc = subprocess.run(
@@ -95,6 +119,21 @@ def test_missing_fields_exit_1_without_traceback(tmp_path):
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
+
+
+def test_usage_errors_exit_1(tmp_path):
+    # 2 is kept for "the mathematical check failed"; --help still exits 0
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    cfg = _write(tmp_path, "t.json", TRIPLE_OK)
+    base = [sys.executable, "-m", "speclab.cli", "verify", "--input", cfg,
+            "--out", str(tmp_path / "o")]
+    for extra, code in ((["--bogus"], 1), (["--grid", "notanint"], 1),
+                        (["--help"], 0)):
+        proc = subprocess.run(base + extra, env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, (extra, proc.stderr)
+        assert "Traceback" not in proc.stderr
 
 
 def test_errored_ensemble_samples_exit_1(tmp_path, capsys, monkeypatch):

@@ -8,8 +8,8 @@ from speclab import (IntMatrix, NotContractive, SingularMatrix,
                      is_expansive, multi_step_contraction,
                      residue_classes_distinct, solve_exact)
 from speclab.errors import ExactCheckFailed
-from speclab.linalg import (as_int_matrix, charpoly, inv_transpose_norm_series,
-                            inv_transpose_series)
+from speclab.linalg import (adjugate, as_int_matrix, charpoly,
+                            inv_transpose_series, rat_inverse)
 
 import oracles
 
@@ -147,8 +147,8 @@ def test_contraction_factor_not_contractive_example():
 def test_norm_series_bounds_partial_sums():
     for m in ([[2]], [[0, 2], [1, 0]], [[3, 1], [0, 2]], [[0, -4], [1, 0]],
               [[1, 1], [-1, 1]]):
-        series = inv_transpose_norm_series(m)
         tails = inv_transpose_series([m])
+        series = tails.tail(0)
         inv_t = np.linalg.inv(np.array(m, dtype=float).T)
         power, norms = np.eye(len(inv_t)), []
         for _ in range(80):
@@ -157,6 +157,20 @@ def test_norm_series_bounds_partial_sums():
         assert series >= sum(norms)
         for k in range(8):  # tail(k) bounds sum_{j>k}, norms[j-1] = ||S^j||
             assert tails.tail(k) >= sum(norms[k:]) * (1 - 1e-12)
+
+
+def test_adjugate_and_exact_inverse():
+    for m in ([[3]], [[-2]], [[0, 2], [1, 0]], [[3, 1], [0, 2]],
+              [[2, 1, 0], [0, 3, 1], [1, 0, 2]], [[0, 0, 2], [1, 0, 0], [0, 1, 0]]):
+        im = as_int_matrix(m)
+        d, n = det(im), im.dim
+        assert (im @ adjugate(im)).rows == tuple(
+            tuple(d if i == j else 0 for j in range(n)) for i in range(n))
+        inv = rat_inverse(im)
+        assert all(sum(inv[i][k] * m[k][j] for k in range(n)) == (i == j)
+                   for i in range(n) for j in range(n))
+    with pytest.raises(SingularMatrix):
+        rat_inverse(as_int_matrix([[1, 2], [2, 4]]))
 
 
 def test_norm_series_tail_is_exact_for_two_step_scaling():

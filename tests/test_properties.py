@@ -1,13 +1,17 @@
-"""Property tests of the level sequence, the certified tail bound and the
-level-matrix spectrum."""
+"""Property tests of the level sequence, the certified tail bound, the
+level-matrix spectrum, the level table behind the transform, Parseval and
+the completeness functional."""
+
+import math
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from speclab import (TruncationPolicy, build_fn, ft_eval_many,
-                     general_product, periodic_word, random_word, self_affine,
-                     triple)
+from speclab import (LatticeGenerator, TruncationPolicy, build_fn,
+                     ft_eval_many, general_product, periodic_word, qp_eval,
+                     random_word, self_affine, triple)
+from speclab.triples import parseval_defect
 
 import oracles
 
@@ -84,3 +88,81 @@ def test_fn_sigmas_match_dense_oracle(word, n):
                                                  fn.tail_moduli)
     assert unitary_err < 1e-10
     assert np.abs(fn.sigmas - dense).max() < 1e-8
+
+
+# -- the level table and the kernel it feeds --------------------------------
+
+MIXED = (triple(2, [0, 1], [0, 1]), triple(2, [0, 3], [0, 1]),
+         triple(3, [0, 1, 2], [0, 1, 2]), triple(3, [0, 1, 5], [0, 1, 2]),
+         triple(4, [0, 2], [0, 1]), triple(4, [0, 1, 2, 3], [0, 1, 2, 3]))
+MIXED_2D = (triple([[2, 0], [0, 2]], [(0, 0), (1, 0), (0, 1), (1, 1)],
+                   [(0, 0), (1, 0), (0, 1), (1, 1)]),
+            MULTI_STEP,
+            triple([[3, 1], [0, 2]], [(i, j) for i in range(3) for j in range(2)],
+                   [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]))
+mixed_seqs = st.lists(st.integers(0, len(MIXED) - 1), min_size=1, max_size=30)
+
+
+def _int_matrix(t):
+    return [list(row) for row in t.R.rows]
+
+
+@given(seq=mixed_seqs, two_d=st.booleans())
+def test_level_table_matches_fraction_products(seq, two_d):
+    """Every float entry of (R_k...R_1)^{-1} is its exact value rounded once."""
+    pool = MIXED_2D if two_d else MIXED
+    levels = [pool[i % len(pool)] for i in seq]
+    sys = general_product(levels)
+    exact = oracles.cumulative_inverses([_int_matrix(t) for t in levels])
+    table = sys.cumulative_inverse(len(levels))
+    assert table.shape == (len(levels), sys.dim, sys.dim)
+    assert table.tolist() == [[[float(x) for x in row] for row in c]
+                              for c in exact]
+    assert [list(map(list, c)) for c in
+            sys.cumulative_inverse_exact(len(levels))] == exact
+
+
+@given(seq=mixed_seqs.filter(lambda s: len(s) <= 10),
+       xs=st.lists(st.floats(-50, 50), min_size=1, max_size=6))
+def test_ft_matches_per_level_product(seq, xs):
+    levels = [MIXED[i] for i in seq]
+    vals, bounds = ft_eval_many(general_product(levels), xs)
+    plain = [(t.R.rows[0][0], [b[0] for b in t.B.vectors]) for t in levels]
+    assert not bounds.any()  # a finite product has no tail
+    for v, x in zip(vals, xs):
+        assert abs(v - oracles.level_product_ft(plain, x)) <= 1e-12
+
+
+# -- Parseval and the completeness functional --------------------------------
+
+def _scaled_triple(n, m, b):
+    """(N m, b {0..N-1}, m {0..N-1}): Hadamard whenever gcd(b, N) = 1."""
+    return n * m, [b * j for j in range(n)], [m * j for j in range(n)]
+
+
+coprime = st.tuples(st.integers(2, 5), st.integers(1, 3),
+                    st.integers(1, 7)).filter(lambda p: math.gcd(p[2], p[0]) == 1)
+
+
+@given(p=coprime, q=coprime,
+       xs=st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
+                   min_size=1, max_size=4))
+def test_parseval_on_generated_triples(p, q, xs):
+    (r1, b1, l1), (r2, b2, l2) = _scaled_triple(*p), _scaled_triple(*q)
+    one = triple(r1, b1, l1)
+    prod = triple([[r1, 0], [0, r2]], [(x, y) for x in b1 for y in b2],
+                  [(x, y) for x in l1 for y in l2])
+    for x, y in xs:
+        assert parseval_defect(one, x) <= 1e-12
+        assert parseval_defect(prod, (x, y)) <= 1e-12
+
+
+@given(word=words, x=st.floats(0, 1, exclude_max=True),
+       windows=st.tuples(st.integers(0, 12), st.integers(0, 12)))
+def test_q_bounded_and_monotone_in_window(word, x, windows):
+    sys = random_word(FAMILY, word)
+    gen = LatticeGenerator([[1]])
+    small, large = (qp_eval(sys, gen, x, window=w) for w in sorted(windows))
+    for q in (small, large):
+        assert q.q <= 1 + q.q_bound + 1e-12
+    assert large.q >= small.q

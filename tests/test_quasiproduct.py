@@ -129,6 +129,19 @@ def test_shear_bound_covers_deeper_levels():
         assert 0 < gap <= fib.shear_bound
 
 
+def test_base_point_bound_for_multi_step_outer_scaling():
+    # ||R1^{-1}||_2 = 1, so no one-step geometric bound exists; the norm
+    # series of R1 (two-step contraction) still bounds the levels past depth
+    spec = quasi_product_spec([[0, 2], [1, 0]], [(0, 0), (1, 0)],
+                              [(0, 0), (0, 1)], 2, [[0, 1], [0, 3]], [0, 1])
+    for word in [(1,) * 6, (1, 0, 1, 1), (0, 1)]:
+        fib = fiber_system(spec, word, depth=64)
+        deep = fiber_system(spec, word, depth=200)
+        gap = float(np.linalg.norm(deep.base_point - fib.base_point))
+        assert np.isfinite(fib.base_point_bound)
+        assert 0 < gap <= fib.base_point_bound < 1e-9
+
+
 def test_fiber_transform_matches_second_coordinate(example_spec):
     # with C = 0 the full transform restricted to (0, xi2) factors through
     # the Lebesgue base layer; the fiber-average identity is checked by
@@ -199,3 +212,31 @@ def test_dual_lattice_and_search(two_digit_family):
     basis, rep = find_tiling_lattice(self_affine(triple(4, [0, 2], [0, 1])),
                                      window=16, max_index=4)
     assert basis is None and not rep.passed
+
+def test_hnf_sublattice_counts():
+    from collections import Counter
+
+    from speclab.quasiproduct import _hnf_sublattices
+
+    def counts(dim, top):
+        c = Counter(round(np.prod(np.diag(b))) for b in _hnf_sublattices(dim, top))
+        return [c[n] for n in range(1, top + 1)]
+
+    sigma = [sum(k for k in range(1, n + 1) if n % k == 0) for n in range(1, 17)]
+    assert counts(1, 16) == [1] * 16
+    assert counts(2, 16) == sigma
+    assert counts(3, 6) == [1, 7, 13, 35, 31, 91]  # OEIS A001001
+    for dim in (1, 2, 3):
+        bases = list(_hnf_sublattices(dim, 6))
+        assert bases[0].tolist() == np.eye(dim, dtype=int).tolist()
+        for b in bases:  # lower triangular, entries reduced by row diagonal
+            assert np.all(np.triu(b, 1) == 0)
+            assert all(0 <= b[i, j] < b[i, i] for i in range(dim) for j in range(i))
+        assert len({b.tobytes() for b in bases}) == len(bases)
+
+
+def test_find_tiling_lattice_in_three_dimensions():
+    digits = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+    cube = self_affine(triple(2 * np.eye(3, dtype=int), digits, digits))
+    basis, rep = find_tiling_lattice(cube, window=2)
+    assert basis.tolist() == np.eye(3, dtype=int).tolist() and rep.passed

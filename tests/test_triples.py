@@ -1,11 +1,13 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from speclab import (DigitSet, DimensionMismatch, NotContractive,
-                     VerificationFailed, invariant_ball_radius, mask_eval,
-                     mask_is_extreme_at, tau_exact, triple, verify_hadamard)
+                     VerificationFailed, fixed_point_of_word,
+                     invariant_ball_radius, mask_eval, mask_is_extreme_at,
+                     tau_exact, triple, verify_hadamard)
 from speclab.triples import cycle_containment_radius, tau_float_many
 
 import oracles
@@ -128,8 +130,30 @@ def test_invariant_ball_contains_tau_images():
 def test_invariant_ball_not_contractive_propagates():
     with pytest.raises(NotContractive):
         invariant_ball_radius([[0, 2], [1, 0]], [(0, 0), (1, 0)])
-    # the containment radius still exists via the power fallback
+    # the containment radius still exists via the norm series
     assert cycle_containment_radius([[0, 2], [1, 0]], [(0, 0), (1, 0)]) > 0
+    # every cycle point of the multi-step triple lies within it: each is
+    # the fixed point of the composed dual maps of some word
+    t = triple([[0, 2], [1, 0]], [(0, 0), (1, 0)], [(0, 0), (0, 1)])
+    rad = cycle_containment_radius(t.R, t.L)
+    assert rad == pytest.approx(2.000002, rel=1e-12)
+    rad_sq = Fraction(rad) ** 2
+    reach = Fraction(0)
+    for m in range(1, 9):
+        for word in itertools.product(t.L.vectors, repeat=m):
+            x = fixed_point_of_word(t, word)
+            reach = max(reach, sum(c * c for c in x))
+    assert 2 <= reach <= rad_sq  # (1, 1) is a cycle point
+
+
+def test_containment_radius_of_one_step_contractions():
+    # M / (1 - c) with M = max_l |(R^T)^{-1} l| and c = ||(R^T)^{-1}||_2
+    for r, l, m, c in [(2, [0, 1], 0.5, 0.5), (3, [0, 1, 2], 2 / 3, 1 / 3),
+                       (4, [0, 3], 0.75, 0.25),
+                       ([[2, 0], [0, 2]], [(0, 0), (1, 0), (0, 1), (1, 1)],
+                        2 ** 0.5 / 2, 0.5)]:
+        assert cycle_containment_radius(r, l) == pytest.approx(
+            m / (1 - c) * (1 + 1e-6), rel=1e-14)
 
 
 def test_digit_set_validation():
