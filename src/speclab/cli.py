@@ -7,6 +7,9 @@ line, missing file, an ensemble sample that raised), so shell pipelines can
 tell mathematics from tooling.
 
 Input schemas: see the CLI section of the README.
+
+Each process runs one command, so only the standard library, numpy and the
+triple layer load at start-up; every command imports the modules it runs.
 """
 
 from __future__ import annotations
@@ -17,23 +20,16 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .cycles import (dynamically_simple_spectrum, find_extreme_cycles,
-                     search_summary)
-from .ensemble import (EnsembleConfig, counterexample_probe,
-                       ensemble_spectrum_report, ensemble_tiling_report)
 from .errors import NonIntegerElement, SpeclabError, VerificationFailed
-from .measures import (ConvolutionSystem, TruncationPolicy, general_product,
-                       periodic_word, random_word, self_affine)
-from .quasiproduct import (build_quasi_product, describe_spec,
-                           lattice_tiling_check, quasi_product_spec)
-from .spectra import (CycleSpectrumGenerator, ExplicitGenerator,
-                      LatticeGenerator, LevelSetsGenerator, check_spectrum,
-                      lambda_n, strichartz_report)
 from .triples import HadamardTriple, triple, verify_hadamard
+
+if TYPE_CHECKING:
+    from .measures import ConvolutionSystem, TruncationPolicy
 
 
 class CliError(Exception):
@@ -95,6 +91,8 @@ _UNUSABLE = {"self_affine": ("tail", "word"), "periodic": ("tail",),
 
 
 def _parse_system(obj, tol: float) -> ConvolutionSystem:
+    from .measures import (general_product, periodic_word, random_word,
+                           self_affine)
     kind = _object(obj, "system").get("kind")
     for key in _UNUSABLE.get(kind, ()):
         if key in obj:
@@ -140,14 +138,25 @@ def _numeric_array(x) -> np.ndarray:
     return np.array(_numeric(x))
 
 
-def _parse_generator(obj, args, sysm: ConvolutionSystem | None = None):
+def _lattice_basis(x, dim: int) -> np.ndarray:
+    """A dim x dim lattice basis; a bare number is a 1-D basis."""
+    basis = np.atleast_2d(_numeric_array(x))
+    if basis.shape != (dim, dim):
+        raise CliError(f"lattice basis must be {dim}x{dim}, got {json.dumps(x)}")
+    return basis
+
+
+def _parse_generator(obj, args, dim: int,
+                     sysm: ConvolutionSystem | None = None):
+    from .spectra import (CycleSpectrumGenerator, ExplicitGenerator,
+                          LatticeGenerator, LevelSetsGenerator)
     kind = _object(obj, "generator").get("kind")
     if kind == "level_sets" and sysm is not None:
         return LevelSetsGenerator(sysm)
     if kind == "lattice":
-        basis = _numeric_array(obj.get("basis", 1))
-        return LatticeGenerator(np.atleast_2d(basis))
+        return LatticeGenerator(_lattice_basis(obj.get("basis", 1), dim))
     if kind == "cycle_spectrum":
+        from .cycles import find_extreme_cycles
         t = _parse_triple(obj.get("triple"), args.tol)
         mmax = obj.get("mmax", args.mmax)
         if type(mmax) is not int or mmax < 1:
@@ -162,6 +171,7 @@ def _parse_generator(obj, args, sysm: ConvolutionSystem | None = None):
 
 
 def _policy(args) -> TruncationPolicy:
+    from .measures import TruncationPolicy
     return TruncationPolicy(depth=args.depth)
 
 
@@ -204,6 +214,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cycles(args) -> int:
+    from .cycles import (dynamically_simple_spectrum, find_extreme_cycles,
+                         search_summary)
     if args.mmax < 1:
         raise CliError("--mmax must be >= 1")
     obj = _load_json(args.input)
@@ -229,11 +241,13 @@ def cmd_spectrum(args) -> int:
     obj = _load_json(args.input)
     payload = {"config": _effective(args)}
     if "kind" in obj:
+        from .spectra import lambda_n
         sysm = _parse_system(obj, args.tol)
         level = max(args.window, 1)
         payload["level"] = level
         payload["frequencies"] = [list(p) for p in lambda_n(sysm, level)]
     else:
+        from .cycles import dynamically_simple_spectrum, find_extreme_cycles
         t = _parse_triple(obj, args.tol)
         cycles = find_extreme_cycles(t, args.mmax)
         payload["level"] = args.window
@@ -246,11 +260,12 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .spectra import check_spectrum
     obj = _load_json(args.input)
     if "system" not in obj or "generator" not in obj:
         raise CliError("check config needs 'system' and 'generator'")
     sysm = _parse_system(obj["system"], args.tol)
-    gen = _parse_generator(obj["generator"], args, sysm)
+    gen = _parse_generator(obj["generator"], args, sysm.dim, sysm)
     report = check_spectrum(sysm, gen, args.grid, window=args.window,
                             pol=_policy(args))
     report.params["cli"] = _effective(args)
@@ -265,6 +280,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_strichartz(args) -> int:
+    from .measures import self_affine
+    from .spectra import strichartz_report
     obj = _load_json(args.input)
     sysm = _parse_system(obj, args.tol) if "kind" in obj else \
         self_affine(_parse_triple(obj, args.tol))
@@ -276,6 +293,8 @@ def cmd_strichartz(args) -> int:
 
 
 def cmd_quasiproduct(args) -> int:
+    from .quasiproduct import (build_quasi_product, describe_spec,
+                               quasi_product_spec)
     obj = _load_json(args.input)
     try:
         spec = quasi_product_spec(obj["R1"], obj["a"], obj["L1"], obj["R"],
@@ -310,10 +329,11 @@ def _ensemble_exit(rep, args) -> int:
 
 
 def cmd_random(args) -> int:
+    from .ensemble import EnsembleConfig, ensemble_spectrum_report
     obj = _load_json(args.input)
     triples = _parse_family(obj, args.tol)
     gen = _parse_generator(obj.get("generator", {"kind": "lattice", "basis": 1}),
-                           args)
+                           args, triples[0].dim)
     cfg = EnsembleConfig(triples=triples, generator=gen,
                          word_length=args.word_length, samples=args.samples,
                          seed=args.seed, grid=args.grid, window=args.window,
@@ -332,9 +352,10 @@ def cmd_random(args) -> int:
 
 def cmd_tiling(args) -> int:
     obj = _load_json(args.input)
-    basis = _numeric_array(obj.get("lattice", 1))
     if "system" in obj or "kind" in obj:
+        from .quasiproduct import lattice_tiling_check
         sysm = _parse_system(obj.get("system", obj), args.tol)
+        basis = _lattice_basis(obj.get("lattice", 1), sysm.dim)
         rep = lattice_tiling_check(sysm, basis, window=args.window,
                                    pol=_policy(args))
         payload = {"config": _effective(args), "report": rep.to_dict()}
@@ -343,8 +364,11 @@ def cmd_tiling(args) -> int:
               f"(max off-lattice mass {rep.max_offlattice_mass:.3g})")
         return 0 if rep.passed else 2
     # family form: per-word ensemble
+    from .ensemble import EnsembleConfig, ensemble_tiling_report
+    from .spectra import LatticeGenerator
     triples = _parse_family(obj, args.tol)
-    gen = LatticeGenerator(np.atleast_2d(basis))
+    basis = _lattice_basis(obj.get("lattice", 1), triples[0].dim)
+    gen = LatticeGenerator(basis)
     cfg = EnsembleConfig(triples=triples, generator=gen,
                          word_length=args.word_length, samples=args.samples,
                          seed=args.seed, window=args.window,
@@ -359,14 +383,17 @@ def cmd_tiling(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    from .ensemble import counterexample_probe
     obj = _load_json(args.input)
     if "word" not in obj or "probes" not in obj:
         raise CliError("probe config needs 'word' and 'probes'")
     sysm = _parse_system({**obj, "kind": "random_word"}, args.tol)
     gen = _parse_generator(obj.get("generator", {"kind": "lattice", "basis": 1}),
-                           args)
-    rep = counterexample_probe(sysm.triples, sysm.word, gen,
-                               _numeric_array(obj["probes"]),
+                           args, sysm.dim)
+    probes = _numeric_array(obj["probes"])
+    if probes.size == 0:
+        raise CliError("'probes' must list at least one point")
+    rep = counterexample_probe(sysm.triples, sysm.word, gen, probes,
                                window=args.window, pol=_policy(args),
                                tail=sysm.tail)
     payload = rep.to_dict()

@@ -73,22 +73,20 @@ def fixed_point_of_word(t: HadamardTriple, word: Sequence) -> RatPoint:
     """Exact fixed point of tau_{l_1} o ... o tau_{l_m}.
 
     Solves ((R^T)^m - I) x = sum_j (R^T)^{m-j} l_j over the rationals and
-    verifies the result by exact re-application of the word.
+    verifies the result by exact re-application of the word. The right-hand
+    side is accumulated by Horner's rule, s <- R^T s + l_j.
     """
     ls = [as_int_vector(l, t.dim) for l in word]
     if not ls:
         raise ValueError("word must be nonempty")
-    m = len(ls)
     rt = t.R.transpose()
-    a = mat_pow(rt, m)
-    lhs = tuple(tuple(Fraction(a.rows[i][j] - (1 if i == j else 0))
-                      for j in range(t.dim)) for i in range(t.dim))
-    rhs = [Fraction(0)] * t.dim
-    for j, l in enumerate(ls, start=1):
-        p = mat_pow(rt, m - j).apply(l)
-        for i in range(t.dim):
-            rhs[i] += p[i]
-    x = rat_solve(lhs, tuple(rhs))
+    rhs = (0,) * t.dim
+    for l in ls:
+        rhs = tuple(a + b for a, b in zip(rt.apply(rhs), l))
+    a = mat_pow(rt, len(ls))
+    lhs = tuple(tuple(a.rows[i][j] - (i == j) for j in range(t.dim))
+                for i in range(t.dim))
+    x = rat_solve(lhs, rhs)
     y = x
     for l in reversed(ls):
         y = tau_exact(t.R, l, y)

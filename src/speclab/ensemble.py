@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -143,6 +142,7 @@ def _tiling_check(cfg: EnsembleConfig, basis, tol: float,
 
 def _run_samples(runner, cfg: EnsembleConfig) -> list[SampleVerdict]:
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             verdicts = list(pool.map(runner, range(cfg.samples)))
     else:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,9 +23,10 @@ from .linalg import (IntMatrix, as_int_matrix, as_int_vector,
                      inv_transpose_series, rat_inverse)
 from .measures import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
                        ft_eval_many, random_word, self_affine)
-from .spectra import AnalysisReport, ProductGenerator, SpectrumGenerator, \
-    check_spectrum
 from .triples import DigitSet, FrequencySet, HadamardTriple, triple
+
+if TYPE_CHECKING:
+    from .spectra import AnalysisReport, SpectrumGenerator
 
 
 @dataclass
@@ -233,6 +235,7 @@ def product_spectrum_check(spec: QuasiProductSpec, gen1: SpectrumGenerator,
     random fiber words at matching truncation, which is the testable face of
     the product-spectrum equivalence.
     """
+    from .spectra import ProductGenerator, check_spectrum
     big = build_quasi_product(spec)
     sys = self_affine(big)
     gen = ProductGenerator(gen1, gen2)

@@ -19,17 +19,19 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .cycles import ExtremeCycle, dynamically_simple_spectrum
 from .errors import SizeCap, VerificationFailed
 from .linalg import identity
 from .measures import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
                        _atom_count, _ft_product, ft_eval_many,
                        ft_tail_eval_many, level_word_sums)
 from .triples import HadamardTriple, mask_eval_many, tau_float_many
+
+if TYPE_CHECKING:
+    from .cycles import ExtremeCycle
 
 FN_SIZE_CAP = 2 ** 18
 
@@ -78,6 +80,7 @@ class CycleSpectrumGenerator(SpectrumGenerator):
         self.dim = t.dim
 
     def level(self, n: int) -> np.ndarray:
+        from .cycles import dynamically_simple_spectrum
         pts = dynamically_simple_spectrum(self.triple, self.cycles, n)
         return np.array(pts, dtype=float)
 

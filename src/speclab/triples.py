@@ -7,6 +7,7 @@ N x N matrix H = [exp(2 pi i <R^{-1} b, l>)] / sqrt(N) is unitary.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, VerificationFailed
 from .linalg import (IntMatrix, as_int_matrix, as_int_vector, as_rat_vector,
                      contraction_factor, inv_transpose_series, is_expansive,
-                     rat_apply, rat_inverse, RatVector)
+                     rat_apply, rat_inverse, RatMatrix, RatVector)
 
 DEFAULT_TOL = 1e-9
 
@@ -185,13 +186,18 @@ def mask_is_extreme_at(digits: DigitSet | Iterable, x) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=64)
+def _inv_transpose_exact(rm: IntMatrix) -> RatMatrix:
+    return rat_inverse(rm.transpose())
+
+
 def tau_exact(r, ell, x) -> RatVector:
     """Exact dual map (R^T)^{-1}(x + ell) over rationals."""
     rm = as_int_matrix(r)
     lv = as_int_vector(ell, rm.dim)
     xv = as_rat_vector(x, rm.dim)
-    inv_t = rat_inverse(rm.transpose())
-    return rat_apply(inv_t, tuple(xv[i] + lv[i] for i in range(rm.dim)))
+    return rat_apply(_inv_transpose_exact(rm),
+                     tuple(xv[i] + lv[i] for i in range(rm.dim)))
 
 
 def tau_float_many(r, ell, xs: np.ndarray) -> np.ndarray:

@@ -109,6 +109,16 @@ def test_missing_fields_exit_1_without_traceback(tmp_path):
         ("quasiproduct", {"R1": 2, "a": [0, 1], "L1": [0, 1], "R": 2,
                           "B_family": [[0, 1], [0, 3]], "L": [0, 1], "C": "x"},
          "bad quasiproduct config"),
+        ("probe", {"triples": FAMILY, "word": [0], "probes": []},
+         "'probes' must list at least one point"),
+        # lattice bases that are not d x d
+        ("probe", {"triples": FAMILY, "word": [0], "probes": [0.5],
+                   "generator": {"kind": "lattice", "basis": [[1, 2]]}},
+         "lattice basis must be 1x1"),
+        ("tiling", {"triples": FAMILY, "lattice": [[1, 2]]},
+         "lattice basis must be 1x1"),
+        ("tiling", {"system": QC_SYSTEM, "lattice": [[1, 2]]},
+         "lattice basis must be 1x1"),
     ):
         cfg = _write(tmp_path, f"{command}.json", payload)
         proc = subprocess.run(
