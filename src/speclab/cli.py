@@ -8,8 +8,12 @@ tell mathematics from tooling.
 
 Input schemas: see the CLI section of the README.
 
-Each process runs one command, so only the standard library, numpy and the
-triple layer load at start-up; every command imports the modules it runs.
+Each process runs one command, so only the standard library and the exact
+triple layer (``errors``, ``linalg``, ``triples``) load at start-up; every
+command imports the modules it runs. ``verify`` loads no numpy: it checks
+H from exact integer phases. Every other command loads numpy when it first
+reads a float array or evaluates a transform, and ``cycles`` loads it for
+the float containment radius.
 """
 
 from __future__ import annotations
@@ -22,13 +26,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import __version__
 from .errors import NonIntegerElement, SpeclabError, VerificationFailed
-from .triples import HadamardTriple, triple, verify_hadamard
+from .triples import HadamardTriple, triple
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .measures import ConvolutionSystem, TruncationPolicy
 
 
@@ -130,6 +134,7 @@ def _numeric(x) -> float:
 
 
 def _numeric_array(x) -> np.ndarray:
+    import numpy as np
     if isinstance(x, (list, tuple)):
         rows = [_numeric_array(v) for v in x]
         if len({r.shape for r in rows}) > 1:
@@ -140,6 +145,7 @@ def _numeric_array(x) -> np.ndarray:
 
 def _lattice_basis(x, dim: int) -> np.ndarray:
     """A dim x dim lattice basis; a bare number is a 1-D basis."""
+    import numpy as np
     basis = np.atleast_2d(_numeric_array(x))
     if basis.shape != (dim, dim):
         raise CliError(f"lattice basis must be {dim}x{dim}, got {json.dumps(x)}")
@@ -161,13 +167,17 @@ def _parse_generator(obj, args, dim: int,
         mmax = obj.get("mmax", args.mmax)
         if type(mmax) is not int or mmax < 1:
             raise CliError(f"'mmax' must be a positive integer, got {json.dumps(mmax)}")
-        return CycleSpectrumGenerator(t, find_extreme_cycles(t, mmax))
-    if kind == "explicit":
+        gen = CycleSpectrumGenerator(t, find_extreme_cycles(t, mmax))
+    elif kind == "explicit":
         if "points" not in obj:
             raise CliError("explicit generator needs 'points'")
-        return ExplicitGenerator(_numeric_array(obj["points"]))
-    raise CliError(f"unknown generator kind {kind!r} "
-                   "(level_sets is resolved against a system)")
+        gen = ExplicitGenerator(_numeric_array(obj["points"]))
+    else:
+        raise CliError(f"unknown generator kind {kind!r} "
+                       "(level_sets is resolved against a system)")
+    if gen.dim != dim:
+        raise CliError(f"{kind} generator is {gen.dim}-D but the system is {dim}-D")
+    return gen
 
 
 def _policy(args) -> TruncationPolicy:
@@ -203,14 +213,15 @@ def _effective(args, extra: dict | None = None) -> dict:
 
 def cmd_verify(args) -> int:
     obj = _load_json(args.input)
+    # triple() has verified t at args.tol and recorded the outcome on it
     t = _parse_triple(obj, args.tol, verify=False)
-    res = verify_hadamard(t, args.tol)
-    report = {"config": _effective(args), "passed": res.passed,
-              "residual": res.residual, "size": t.size, "dim": t.dim}
+    passed = t.status == "verified"
+    report = {"config": _effective(args), "passed": passed,
+              "residual": t.residual, "size": t.size, "dim": t.dim}
     _write_json(_out_dir(args) / "verify_report.json", report)
-    print(f"hadamard check: {'pass' if res.passed else 'FAIL'} "
-          f"(residual {res.residual:.3g}, tol {args.tol:g})")
-    return 0 if res.passed else 2
+    print(f"hadamard check: {'pass' if passed else 'FAIL'} "
+          f"(residual {t.residual:.3g}, tol {args.tol:g})")
+    return 0 if passed else 2
 
 
 def cmd_cycles(args) -> int:
@@ -393,6 +404,10 @@ def cmd_probe(args) -> int:
     probes = _numeric_array(obj["probes"])
     if probes.size == 0:
         raise CliError("'probes' must list at least one point")
+    width = probes.shape[1] if probes.ndim == 2 else 1
+    if probes.ndim > 2 or width != sysm.dim:
+        raise CliError(f"'probes' must be points in R^{sysm.dim}, "
+                       f"got {json.dumps(obj['probes'])}")
     rep = counterexample_probe(sysm.triples, sysm.word, gen, probes,
                                window=args.window, pol=_policy(args),
                                tail=sysm.tail)

@@ -2,23 +2,25 @@
 
 Everything that feeds a certificate (determinants, expansivity, residue
 classes, cycle fixed points) runs over Python integers and
-``fractions.Fraction``; floating point only appears in ``contraction_factor``,
-which is a norm estimate rather than a certificate.
+``fractions.Fraction``; floating point only appears in the norm series
+behind ``contraction_factor``, which is an estimate rather than a
+certificate. numpy loads there and in ``IntMatrix.as_numpy``, not on import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ExactCheckFailed, NotContractive, SingularMatrix
 
 IntVector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
 RatMatrix = tuple[tuple[Fraction, ...], ...]
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,7 @@ class IntMatrix:
         return IntMatrix(tuple(zip(*self.rows)))
 
     def as_numpy(self) -> np.ndarray:
+        import numpy as np
         return np.array(self.rows, dtype=float)
 
     def as_fractions(self) -> RatMatrix:
@@ -56,30 +59,44 @@ class IntMatrix:
         return tuple(sum(r[j] * v[j] for j in range(len(r))) for r in self.rows)
 
 
+def _plain(x):
+    """numpy arrays and scalars as nested lists and Python numbers."""
+    return x.tolist() if hasattr(x, "tolist") else x
+
+
+def _int_entry(x) -> int:
+    """An int, or an integral float or Fraction, as an int."""
+    if isinstance(x, int):
+        return int(x)
+    x = _plain(x)
+    if isinstance(x, (int, float, Fraction)) and x % 1 == 0:
+        return int(x)
+    raise ValueError(f"expected an integer, got {x!r}")
+
+
 def as_int_matrix(m) -> IntMatrix:
     """Coerce an int, nested sequence, or numpy array to IntMatrix."""
     if isinstance(m, IntMatrix):
         return m
-    if isinstance(m, (int, np.integer)):
-        return IntMatrix(((int(m),),))
-    arr = np.asarray(m)
-    if arr.ndim == 0:
-        return IntMatrix(((int(arr),),))
-    if arr.ndim == 1 and arr.size == 1:
-        return IntMatrix(((int(arr[0]),),))
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"not a square matrix: shape {arr.shape}")
-    if not np.all(arr == np.round(arr)):
-        raise ValueError("matrix entries must be integers")
-    return IntMatrix(tuple(tuple(int(x) for x in row) for row in arr))
+    m = _plain(m)
+    if not isinstance(m, (list, tuple)):
+        return IntMatrix(((_int_entry(m),),))
+    rows = [_plain(r) for r in m]
+    if len(rows) == 1 and not isinstance(rows[0], (list, tuple)):
+        return IntMatrix(((_int_entry(rows[0]),),))
+    if not rows or any(not isinstance(r, (list, tuple)) or len(r) != len(rows)
+                       for r in rows):
+        raise ValueError(f"not a square matrix: {m!r}")
+    return IntMatrix(tuple(tuple(map(_int_entry, r)) for r in rows))
 
 
 def as_int_vector(v, dim: int | None = None) -> IntVector:
     """Coerce a scalar or sequence to an integer tuple."""
-    if isinstance(v, (int, np.integer)):
-        out = (int(v),)
+    v = _plain(v)
+    if isinstance(v, (list, tuple)):
+        out = tuple(map(_int_entry, v))
     else:
-        out = tuple(int(x) for x in np.atleast_1d(np.asarray(v)))
+        out = (_int_entry(v),)
     if dim is not None and len(out) != dim:
         raise ValueError(f"expected a {dim}-vector, got {out}")
     return out
@@ -330,6 +347,7 @@ def inv_transpose_series(rs: Iterable, max_steps: int = 32) -> NormSeries:
     Several distinct matrices: every one must be a one-step contraction,
     otherwise NotContractive.
     """
+    import numpy as np
     invs = []
     for m in {as_int_matrix(r) for r in rs}:
         if det(m) == 0:

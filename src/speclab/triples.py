@@ -2,22 +2,29 @@
 
 A triple (R, B, L) couples an expansive integer matrix with a digit set B
 and frequency set L of equal size; it is verified by checking that the
-N x N matrix H = [exp(2 pi i <R^{-1} b, l>)] / sqrt(N) is unitary.
+N x N matrix H = [exp(2 pi i <R^{-1} b, l>)] / sqrt(N) is unitary. Each
+phase of H is an exact rational k / det R with k an integer, so building and
+verifying a triple needs no numpy; it loads only when a float path first runs.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
+from operator import mul
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import DimensionMismatch, VerificationFailed
-from .linalg import (IntMatrix, as_int_matrix, as_int_vector, as_rat_vector,
-                     contraction_factor, inv_transpose_series, is_expansive,
-                     rat_apply, rat_inverse, RatMatrix, RatVector)
+from .linalg import (IntMatrix, adjugate, as_int_matrix, as_int_vector,
+                     as_rat_vector, contraction_factor, det,
+                     inv_transpose_series, is_expansive, rat_apply,
+                     rat_inverse, RatMatrix, RatVector)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-9
 
@@ -54,10 +61,12 @@ class DigitSet:
         return len(self.vectors)
 
     def as_numpy(self) -> np.ndarray:
+        import numpy as np
         return np.array(self.vectors, dtype=float)
 
     @property
     def max_norm(self) -> float:
+        import numpy as np
         return float(np.linalg.norm(self.as_numpy(), axis=1).max())
 
 
@@ -79,6 +88,7 @@ class FrequencySet:
         return len(self.vectors)
 
     def as_numpy(self) -> np.ndarray:
+        import numpy as np
         return np.array(self.vectors, dtype=float)
 
 
@@ -135,25 +145,41 @@ class VerifyResult:
     residual: float
 
 
+def _phase_rows(t: HadamardTriple) -> list[list[complex]]:
+    """Rows of sqrt(N) H, from exact integer phases.
+
+    <R^{-1} b, l> = k / det R with k = <adj(R) b, l> an integer, so the
+    entry exp(2 pi i k / det R) is read off k mod det R (which takes the sign
+    of det R): no float inverse enters the phases.
+    """
+    d = det(t.R)
+    adj = adjugate(t.R)
+    ab = [adj.apply(b) for b in t.B.vectors]
+    return [[cmath.exp(2j * cmath.pi * (sum(map(mul, a, l)) % d) / d)
+             for a in ab] for l in t.L.vectors]
+
+
 def hadamard_matrix(t: HadamardTriple) -> np.ndarray:
     """The candidate unitary H, rows indexed by L and columns by B."""
-    rinv = np.linalg.inv(t.R.as_numpy())
-    b = t.B.as_numpy() @ rinv.T          # R^{-1} b as rows
-    l = t.L.as_numpy()
-    n = len(t.B)
-    return np.exp(2j * np.pi * (l @ b.T)) / np.sqrt(n)
+    import numpy as np
+    return np.array(_phase_rows(t)) / math.sqrt(len(t.B))
 
 
 def verify_hadamard(t: HadamardTriple, tol: float = DEFAULT_TOL) -> VerifyResult:
-    """Check H*H = I in double precision and record the result on t.
+    """Check H*H = I from H's exact phases and record the result on t.
 
-    Genuine triples sit at machine-epsilon residuals while failures are at
-    least of order 1/N, so a numerical check at tol=1e-9 is decisive.
+    The diagonal of H*H is 1 by construction, so the residual is its largest
+    off-diagonal modulus. Genuine triples sit at machine-epsilon residuals
+    while failures are at least of order 1/N, so a check at tol=1e-9 is
+    decisive.
     """
     if len(t.B) != len(t.L):
         raise DimensionMismatch(f"#B={len(t.B)} != #L={len(t.L)}")
-    h = hadamard_matrix(t)
-    resid = float(np.abs(h.conj().T @ h - np.eye(len(t.B))).max())
+    cols = list(zip(*_phase_rows(t)))
+    conj = [[z.conjugate() for z in c] for c in cols]
+    resid = max((abs(sum(map(mul, conj[i], cj)))
+                 for i in range(len(cols)) for cj in cols[i + 1:]),
+                default=0.0) / len(cols)
     t.residual = resid
     t.status = "verified" if resid <= tol else "failed"
     return VerifyResult(resid <= tol, resid)
@@ -161,6 +187,7 @@ def verify_hadamard(t: HadamardTriple, tol: float = DEFAULT_TOL) -> VerifyResult
 
 def mask_eval(digits: DigitSet | Iterable, xi) -> complex:
     """m_B(xi) = mean of exp(2 pi i <b, xi>) over the digit set."""
+    import numpy as np
     b = digits if isinstance(digits, DigitSet) else DigitSet.of(digits)
     x = np.atleast_1d(np.asarray(xi, dtype=float))
     return complex(np.exp(2j * np.pi * (b.as_numpy() @ x)).mean())
@@ -168,6 +195,7 @@ def mask_eval(digits: DigitSet | Iterable, xi) -> complex:
 
 def mask_eval_many(digits: DigitSet, xs: np.ndarray) -> np.ndarray:
     """Vectorized m_B over points of shape (..., d)."""
+    import numpy as np
     return np.exp(2j * np.pi * (xs @ digits.as_numpy().T)).mean(axis=-1)
 
 
@@ -202,6 +230,7 @@ def tau_exact(r, ell, x) -> RatVector:
 
 def tau_float_many(r, ell, xs: np.ndarray) -> np.ndarray:
     """Dual map applied to an array of points (float path for sweeps)."""
+    import numpy as np
     rm = as_int_matrix(r)
     inv_t = np.linalg.inv(rm.as_numpy().T)
     lv = np.asarray(as_int_vector(ell, rm.dim), dtype=float)
@@ -231,6 +260,7 @@ def cycle_containment_radius(r, freqs: FrequencySet | Iterable,
     whether S contracts in one step or only in several. The radius carries
     a small relative margin so the containment is strict.
     """
+    import numpy as np
     rm = as_int_matrix(r)
     fs = freqs if isinstance(freqs, FrequencySet) else FrequencySet.of(freqs)
     inv_t = np.linalg.inv(rm.as_numpy().T)
@@ -240,6 +270,7 @@ def cycle_containment_radius(r, freqs: FrequencySet | Iterable,
 
 def parseval_defect(t: HadamardTriple, xi) -> float:
     """|1 - sum_l |m_B(tau_l xi)|^2|; zero for a genuine triple."""
+    import numpy as np
     x = np.atleast_1d(np.asarray(xi, dtype=float))
     total = 0.0
     for ell in t.L.vectors:

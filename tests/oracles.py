@@ -127,15 +127,20 @@ def extreme_cycles_bruteforce_1d(r: int, digits, freqs, m_max: int) -> set[froze
     return cycles
 
 
-def unitary_residual(r, digits, freqs) -> float:
-    """Direct |H*H - I| residual for a candidate triple."""
+def direct_hadamard(r, digits, freqs) -> np.ndarray:
+    """H = [exp(2 pi i <R^{-1} b, l>)] / sqrt(N) from a float inverse."""
     rm = np.array(r, dtype=float)
     if rm.ndim == 0:
         rm = rm.reshape(1, 1)
     b = np.array([np.atleast_1d(x) for x in digits], dtype=float)
     l = np.array([np.atleast_1d(x) for x in freqs], dtype=float)
-    h = np.exp(2j * np.pi * (l @ np.linalg.inv(rm) @ b.T)) / math.sqrt(len(b))
-    return float(np.abs(h.conj().T @ h - np.eye(len(b))).max())
+    return np.exp(2j * np.pi * (l @ np.linalg.inv(rm) @ b.T)) / math.sqrt(len(b))
+
+
+def unitary_residual(r, digits, freqs) -> float:
+    """Direct |H*H - I| residual for a candidate triple."""
+    h = direct_hadamard(r, digits, freqs)
+    return float(np.abs(h.conj().T @ h - np.eye(len(h))).max())
 
 
 def word_ft_abs(word, xi, digit_sets=((0, 1), (0, 3)), r: int = 2,

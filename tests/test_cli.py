@@ -23,6 +23,9 @@ TRIPLE_BAD = {"R": 2, "B": [0, 1], "L": [0, 2]}
 QC_TRIPLE = {"R": 4, "B": [0, 2], "L": [0, 1]}
 QC_SYSTEM = {"kind": "self_affine", "triples": [QC_TRIPLE]}
 FAMILY = [{"R": 2, "B": [0, 1], "L": [0, 1]}, {"R": 2, "B": [0, 3], "L": [0, 1]}]
+SQUARE = [[0, 0], [1, 0], [0, 1], [1, 1]]
+LEBESGUE_2D_SYSTEM = {"kind": "self_affine", "triples": [
+    {"R": [[2, 0], [0, 2]], "B": SQUARE, "L": SQUARE}]}
 
 
 def test_verify_pass(tmp_path):
@@ -119,6 +122,18 @@ def test_missing_fields_exit_1_without_traceback(tmp_path):
          "lattice basis must be 1x1"),
         ("tiling", {"system": QC_SYSTEM, "lattice": [[1, 2]]},
          "lattice basis must be 1x1"),
+        # generators and probes of another dimension than the system
+        ("check", {"system": LEBESGUE_2D_SYSTEM,
+                   "generator": {"kind": "cycle_spectrum", "triple": QC_TRIPLE}},
+         "cycle_spectrum generator is 1-D but the system is 2-D"),
+        ("check", {"system": QC_SYSTEM,
+                   "generator": {"kind": "explicit", "points": [[0, 0], [1, 1]]}},
+         "explicit generator is 2-D but the system is 1-D"),
+        ("probe", {"triples": FAMILY, "word": [0, 1], "probes": [[0.5, 0.5]]},
+         "'probes' must be points in R^1"),
+        # a digit of 1.5 is refused, not truncated to 1
+        ("verify", {"R": 2, "B": [0, 1.5], "L": [0, 1]},
+         "bad triple: expected an integer, got 1.5"),
     ):
         cfg = _write(tmp_path, f"{command}.json", payload)
         proc = subprocess.run(

@@ -44,28 +44,45 @@ PUBLIC = [
 ]
 
 
+def _run(args: list[str], tmp_path: Path) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def _loaded_after(code: str, tmp_path: Path) -> dict:
-    """speclab submodules and stdlib pools loaded once `code` has run, in a
-    fresh interpreter."""
+    """speclab submodules, stdlib pools and numpy loaded once `code` has run,
+    in a fresh interpreter."""
     probe = code + """
 import json, sys
 print(json.dumps({
     "speclab": sorted(m for m in sys.modules if m.startswith("speclab.")),
     "pools": sorted(m for m in ("concurrent.futures", "multiprocessing")
-                    if m in sys.modules)}))
+                    if m in sys.modules),
+    "numpy": "numpy" in sys.modules}))
 """
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                         os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
-                          env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = _run(["-c", probe], tmp_path)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+TRIPLE_LAYER = ["speclab.errors", "speclab.linalg", "speclab.triples"]
+
+
 def test_import_speclab_loads_no_submodule(tmp_path):
-    assert _loaded_after("import speclab", tmp_path) == {"speclab": [],
-                                                         "pools": []}
+    assert _loaded_after("import speclab", tmp_path) == {
+        "speclab": [], "pools": [], "numpy": False}
+
+
+def test_triple_loads_no_numpy(tmp_path):
+    loaded = _loaded_after(
+        "import speclab\n"
+        "assert speclab.triple(2, [0, 3], [0, 1]).status == 'verified'",
+        tmp_path)
+    assert loaded == {"speclab": TRIPLE_LAYER, "pools": [], "numpy": False}
 
 
 def test_cli_verify_loads_only_the_triple_layer(tmp_path):
@@ -74,9 +91,18 @@ def test_cli_verify_loads_only_the_triple_layer(tmp_path):
         "from speclab import cli\n"
         "assert cli.main(['verify', '--input', 't.json', '--out', 'o']) == 0",
         tmp_path)
-    assert loaded == {"speclab": ["speclab.cli", "speclab.errors",
-                                  "speclab.linalg", "speclab.triples"],
-                      "pools": []}
+    assert loaded == {"speclab": ["speclab.cli", *TRIPLE_LAYER], "pools": [],
+                      "numpy": False}
+
+
+def test_cli_verify_importtime_lists_no_numpy(tmp_path):
+    (tmp_path / "t.json").write_text(json.dumps({"R": 2, "B": [0, 3], "L": [0, 1]}))
+    proc = _run(["-X", "importtime", "-m", "speclab.cli", "verify",
+                 "--input", "t.json", "--out", "o"], tmp_path)
+    modules = [line.rsplit("|", 1)[-1].strip()
+               for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "speclab.triples" in modules
+    assert not [m for m in modules if m.split(".")[0] == "numpy"]
 
 
 def test_public_names_are_pinned_and_resolve():

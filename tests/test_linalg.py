@@ -8,7 +8,7 @@ from speclab import (IntMatrix, NotContractive, SingularMatrix,
                      is_expansive, multi_step_contraction,
                      residue_classes_distinct, solve_exact)
 from speclab.errors import ExactCheckFailed
-from speclab.linalg import (adjugate, as_int_matrix, charpoly,
+from speclab.linalg import (adjugate, as_int_matrix, as_int_vector, charpoly,
                             inv_transpose_series, rat_inverse)
 
 import oracles
@@ -212,3 +212,29 @@ def test_int_matrix_validation():
         IntMatrix(((1, 2),))
     with pytest.raises(ValueError):
         as_int_matrix([[1.5]])
+
+
+def test_int_coercion_takes_numpy_and_integral_floats():
+    two = IntMatrix(((2, 0), (0, 2)))
+    for m in (np.array([[2, 0], [0, 2]]), [np.array([2, 0]), (0, 2)],
+              [[2.0, 0], [0, np.int64(2)]], np.array([[2.0, 0.0], [0.0, 2.0]])):
+        got = as_int_matrix(m)
+        assert got == two and all(type(x) is int for r in got.rows for x in r)
+    for m in (np.int64(3), 3.0, np.array(3), np.array([3]), [3]):
+        assert as_int_matrix(m) == IntMatrix(((3,),))
+    for v, expected in ((np.int64(3), (3,)), (2.0, (2,)),
+                        (np.array([0, 3]), (0, 3)), ([np.int64(1), 2.0], (1, 2)),
+                        (np.array([1.0, -4.0]), (1, -4))):
+        got = as_int_vector(v)
+        assert got == expected and all(type(x) is int for x in got)
+    for bad in (2.5, [[2.5]], np.array([[2, 0], [0, 2.5]]), float("inf")):
+        with pytest.raises(ValueError):
+            as_int_matrix(bad)
+    for bad in (2.5, [0, 2.5], np.array([0.5]), "3"):
+        with pytest.raises(ValueError):
+            as_int_vector(bad)
+    for bad in ([1, 2], [[1, 2]], [[1, 2], [3]], [], np.zeros((2, 3))):
+        with pytest.raises(ValueError, match="not a square matrix"):
+            as_int_matrix(bad)
+    with pytest.raises(ValueError, match="expected a 2-vector"):
+        as_int_vector([1, 2, 3], 2)

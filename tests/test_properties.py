@@ -5,12 +5,12 @@ the completeness functional."""
 import math
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from speclab import (LatticeGenerator, TruncationPolicy, build_fn,
-                     ft_eval_many, general_product, periodic_word, qp_eval,
-                     random_word, self_affine, triple)
+                     ft_eval_many, general_product, hadamard_matrix,
+                     periodic_word, qp_eval, random_word, self_affine, triple)
 from speclab.triples import parseval_defect
 
 import oracles
@@ -142,6 +142,33 @@ def _scaled_triple(n, m, b):
 
 coprime = st.tuples(st.integers(2, 5), st.integers(1, 3),
                     st.integers(1, 7)).filter(lambda p: math.gcd(p[2], p[0]) == 1)
+
+
+scaled = st.tuples(st.integers(2, 5), st.integers(1, 3), st.integers(1, 7))
+
+
+@example(p=(2, 1, 2), q=(2, 1, 1), shear=0, flip=False)  # R=2, B={0,2}: fails
+@given(p=scaled, q=scaled, shear=st.integers(-3, 3), flip=st.booleans())
+def test_residual_matches_direct_h(p, q, shear, flip):
+    """H and its residual from exact phases equal H and |H*H - I| from a
+    float inverse.
+
+    Triples with gcd(b, N) > 1, and most sheared ones, are not Hadamard, so
+    failing residuals are compared too. The residual alone cannot see the
+    sign of det R (conj(H) is unitary with H), so H is compared as well.
+    """
+    (r1, b1, l1), (r2, b2, l2) = _scaled_triple(*p), _scaled_triple(*q)
+    r1 = -r1 if flip else r1
+    cases = ((r1, b1, l1),
+             ([[r1, shear], [0, r2]], [(x, y) for x in b1 for y in b2],
+              [(x, y) for x in l1 for y in l2]))
+    for r, b, l in cases:
+        t = triple(r, b, l, require=False)
+        assert abs(t.residual - oracles.unitary_residual(r, b, l)) <= 1e-14
+        assert np.abs(hadamard_matrix(t)
+                      - oracles.direct_hadamard(r, b, l)).max() <= 1e-12
+    one = triple(*cases[0], require=False)
+    assert (one.status == "verified") == (math.gcd(p[2], p[0]) == 1)
 
 
 @given(p=coprime, q=coprime,
