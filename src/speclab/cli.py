@@ -143,41 +143,30 @@ def _numeric_array(x) -> np.ndarray:
     return np.array(_numeric(x))
 
 
-def _lattice_basis(x, dim: int) -> np.ndarray:
-    """A dim x dim lattice basis; a bare number is a 1-D basis."""
-    import numpy as np
-    basis = np.atleast_2d(_numeric_array(x))
-    if basis.shape != (dim, dim):
-        raise CliError(f"lattice basis must be {dim}x{dim}, got {json.dumps(x)}")
-    return basis
-
-
 def _parse_generator(obj, args, dim: int,
                      sysm: ConvolutionSystem | None = None):
+    from .measures import _as_basis
     from .spectra import (CycleSpectrumGenerator, ExplicitGenerator,
                           LatticeGenerator, LevelSetsGenerator)
     kind = _object(obj, "generator").get("kind")
     if kind == "level_sets" and sysm is not None:
         return LevelSetsGenerator(sysm)
     if kind == "lattice":
-        return LatticeGenerator(_lattice_basis(obj.get("basis", 1), dim))
+        basis = _numeric_array(obj.get("basis", 1))
+        return LatticeGenerator(_as_basis(dim, basis))
     if kind == "cycle_spectrum":
         from .cycles import find_extreme_cycles
         t = _parse_triple(obj.get("triple"), args.tol)
         mmax = obj.get("mmax", args.mmax)
         if type(mmax) is not int or mmax < 1:
             raise CliError(f"'mmax' must be a positive integer, got {json.dumps(mmax)}")
-        gen = CycleSpectrumGenerator(t, find_extreme_cycles(t, mmax))
-    elif kind == "explicit":
+        return CycleSpectrumGenerator(t, find_extreme_cycles(t, mmax))
+    if kind == "explicit":
         if "points" not in obj:
             raise CliError("explicit generator needs 'points'")
-        gen = ExplicitGenerator(_numeric_array(obj["points"]))
-    else:
-        raise CliError(f"unknown generator kind {kind!r} "
-                       "(level_sets is resolved against a system)")
-    if gen.dim != dim:
-        raise CliError(f"{kind} generator is {gen.dim}-D but the system is {dim}-D")
-    return gen
+        return ExplicitGenerator(_numeric_array(obj["points"]))
+    raise CliError(f"unknown generator kind {kind!r} "
+                   "(level_sets is resolved against a system)")
 
 
 def _policy(args) -> TruncationPolicy:
@@ -366,9 +355,8 @@ def cmd_tiling(args) -> int:
     if "system" in obj or "kind" in obj:
         from .quasiproduct import lattice_tiling_check
         sysm = _parse_system(obj.get("system", obj), args.tol)
-        basis = _lattice_basis(obj.get("lattice", 1), sysm.dim)
-        rep = lattice_tiling_check(sysm, basis, window=args.window,
-                                   pol=_policy(args))
+        rep = lattice_tiling_check(sysm, _numeric_array(obj.get("lattice", 1)),
+                                   window=args.window, pol=_policy(args))
         payload = {"config": _effective(args), "report": rep.to_dict()}
         _write_json(_out_dir(args) / "tiling_report.json", payload)
         print(f"tiling check: {'pass' if rep.passed else 'FAIL'} "
@@ -376,9 +364,10 @@ def cmd_tiling(args) -> int:
         return 0 if rep.passed else 2
     # family form: per-word ensemble
     from .ensemble import EnsembleConfig, ensemble_tiling_report
+    from .measures import _as_basis
     from .spectra import LatticeGenerator
     triples = _parse_family(obj, args.tol)
-    basis = _lattice_basis(obj.get("lattice", 1), triples[0].dim)
+    basis = _as_basis(triples[0].dim, _numeric_array(obj.get("lattice", 1)))
     gen = LatticeGenerator(basis)
     cfg = EnsembleConfig(triples=triples, generator=gen,
                          word_length=args.word_length, samples=args.samples,
@@ -404,10 +393,6 @@ def cmd_probe(args) -> int:
     probes = _numeric_array(obj["probes"])
     if probes.size == 0:
         raise CliError("'probes' must list at least one point")
-    width = probes.shape[1] if probes.ndim == 2 else 1
-    if probes.ndim > 2 or width != sysm.dim:
-        raise CliError(f"'probes' must be points in R^{sysm.dim}, "
-                       f"got {json.dumps(obj['probes'])}")
     rep = counterexample_probe(sysm.triples, sysm.word, gen, probes,
                                window=args.window, pol=_policy(args),
                                tail=sysm.tail)

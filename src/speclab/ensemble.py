@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -19,9 +19,10 @@ import numpy as np
 from .errors import NotCompleteResidue
 from .linalg import is_complete_residue_set
 from .measures import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
-                       random_word)
+                       _as_points, random_word)
 from .quasiproduct import TilingReport, lattice_tiling_check
-from .spectra import SpectrumGenerator, check_spectrum, qp_eval, window_notes
+from .spectra import (SpectrumGenerator, _require_dim, check_spectrum,
+                      qp_eval, window_notes)
 from .triples import HadamardTriple
 
 
@@ -55,6 +56,10 @@ class EnsembleConfig:
     workers: int = 1
     tail: str = "repeat_last"
 
+    def __post_init__(self):
+        if self.triples:
+            _require_dim(self.triples[0].dim, self.generator)
+
     def echo(self) -> dict:
         return {
             "n_letters": len(self.triples), "word_length": self.word_length,
@@ -64,9 +69,7 @@ class EnsembleConfig:
             "window": self.window, "eps_complete": self.eps_complete,
             "eps_orth": self.eps_orth, "workers": self.workers,
             "tail": self.tail, "generator": self.generator.describe(),
-            "policy": {"depth": self.policy.depth,
-                       "target_error": self.policy.target_error,
-                       "max_depth": self.policy.max_depth},
+            "policy": asdict(self.policy),
         }
 
 
@@ -201,7 +204,7 @@ class ProbeReport:
     def to_dict(self) -> dict:
         return {"word": list(self.word), "verdict": self.verdict,
                 "threshold": self.threshold, "config": self.config,
-                "rows": [{"xi": list(np.atleast_1d(x).tolist()), "q": q,
+                "rows": [{"xi": x.tolist(), "q": q,
                           "terms": t, "q_bound": b}
                          for (x, q, t, b) in self.rows]}
 
@@ -221,7 +224,7 @@ def counterexample_probe(triples: Sequence[HadamardTriple], word,
     sys = random_word(triples, tuple(int(x) for x in word), tail=tail)
     rows = []
     worst = float("inf")
-    for xi in np.atleast_1d(np.asarray(probes, dtype=float)):
+    for xi in _as_points(sys.dim, probes, "'probes'"):
         qv = qp_eval(sys, gen, xi, window=window, pol=pol)
         rows.append((xi, qv.q, qv.terms, qv.q_bound))
         worst = min(worst, qv.q)

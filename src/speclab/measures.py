@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .linalg import (adjugate, det, identity, inv_transpose_series,
                      rat_apply, residue_classes_distinct)
 from .triples import HadamardTriple
@@ -246,12 +247,31 @@ class FtValue:
     tail_bound: float
 
 
-def _as_points(sys: ConvolutionSystem, xi) -> np.ndarray:
-    """Coerce scalars / vectors / stacks of vectors to shape (m, d)."""
-    xs = np.asarray(xi, dtype=float)
-    if sys.dim == 1:
-        return np.atleast_1d(xs).reshape(-1, 1)
-    return xs.reshape(-1, sys.dim)
+def _as_points(dim: int, x, what: str = "xi") -> np.ndarray:
+    """x as an (m, dim) float array of points in R^dim.
+
+    The one shape rule for points, grids and frequency sets: in 1-D a
+    scalar, a flat list or an (m, 1) array; in R^dim a length-dim vector
+    (one point) or an (m, dim) array. Anything else raises.
+    """
+    pts = np.asarray(x, dtype=float)
+    if dim == 1 and pts.ndim < 2:
+        return pts.reshape(-1, 1)
+    if pts.shape == (dim,):
+        return pts.reshape(1, dim)
+    if pts.ndim == 2 and pts.shape[1] == dim:
+        return pts
+    raise DimensionMismatch(f"{what} must be points in R^{dim}, "
+                            f"got an array of shape {pts.shape}")
+
+
+def _as_basis(dim: int, x) -> np.ndarray:
+    """x as a dim x dim float lattice basis; a bare number is a 1-D basis."""
+    basis = np.atleast_2d(np.asarray(x, dtype=float))
+    if basis.shape != (dim, dim):
+        raise DimensionMismatch(f"lattice basis must be {dim}x{dim}, "
+                                f"got an array of shape {np.shape(x)}")
+    return basis
 
 
 def _ft_product(sys: ConvolutionSystem, pts: np.ndarray, depth: int,
@@ -278,7 +298,7 @@ def ft_eval_many(sys: ConvolutionSystem, xi, pol: TruncationPolicy = DEFAULT_POL
     With skip_upto = n it is the transform of the tail measure mu_{>n}, and
     the product runs at least to level n.
     """
-    pts = _as_points(sys, xi)
+    pts = _as_points(sys.dim, xi)
     norms = np.linalg.norm(pts, axis=1)
     depth = max(sys.depth_for(float(norms.max(initial=0.0)), pol), skip_upto)
     vals = _ft_product(sys, pts, depth, skip_upto)
@@ -309,7 +329,7 @@ def ft_tail_eval(sys: ConvolutionSystem, n: int, xi,
 
 def ft_partial_eval(sys: ConvolutionSystem, n: int, xi) -> complex:
     """Transform of the finite convolution mu_n (exact product, no tail)."""
-    pts = _as_points(sys, xi)
+    pts = _as_points(sys.dim, xi)
     return complex(_ft_product(sys, pts, n, skip_upto=0)[0])
 
 

@@ -18,11 +18,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidPadding, VerificationFailed
+from .errors import DimensionMismatch, InvalidPadding, VerificationFailed
 from .linalg import (IntMatrix, as_int_matrix, as_int_vector,
                      inv_transpose_series, rat_inverse)
 from .measures import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
-                       ft_eval_many, random_word, self_affine)
+                       _as_basis, _as_points, ft_eval_many, random_word,
+                       self_affine)
 from .triples import DigitSet, FrequencySet, HadamardTriple, triple
 
 if TYPE_CHECKING:
@@ -94,12 +95,14 @@ def quasi_product_spec(r1, a, l1, r, b_family, l, c=None) -> QuasiProductSpec:
 
 
 def _as_coupling(c, d: int, r: int) -> tuple[tuple[int, ...], ...] | None:
+    """The d x r integer coupling block: d rows, each a point of R^r."""
     if c is None:
         return None
-    arr = np.atleast_2d(np.asarray(c, dtype=int)).reshape(d, r)
-    if not arr.any():
-        return None
-    return tuple(tuple(int(x) for x in row) for row in arr)
+    rows = tuple(map(as_int_vector, _as_points(r, c, "rows of coupling C")))
+    if len(rows) != d:
+        raise DimensionMismatch(
+            f"coupling C must be {d}x{r}, got {len(rows)} rows")
+    return rows if any(map(any, rows)) else None
 
 
 def build_quasi_product(spec: QuasiProductSpec,
@@ -295,13 +298,9 @@ def lattice_tiling_check(sys: ConvolutionSystem, basis, window: int = 64,
     entries may be rational. Pass requires |mu^(G m)| <= tol + tail bound
     for every 0 < ||m||_inf <= window.
     """
-    g = np.atleast_2d(np.asarray(basis, dtype=float))
-    if g.shape != (sys.dim, sys.dim):
-        g = g.reshape(sys.dim, sys.dim)
-    rng = np.arange(-window, window + 1)
-    coords = np.array([c for c in itertools.product(rng, repeat=sys.dim)
-                       if any(c)], dtype=float)
-    pts = coords @ g.T
+    from .spectra import LatticeGenerator
+    lattice = LatticeGenerator(_as_basis(sys.dim, basis)).level(window)
+    pts = np.delete(lattice, len(lattice) // 2, axis=0)  # the middle row is 0
     vals, bounds = ft_eval_many(sys, pts, pol)
     mags = np.abs(vals)
     ok = mags <= tol + bounds

@@ -18,16 +18,16 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import SizeCap, VerificationFailed
+from .errors import DimensionMismatch, SizeCap, VerificationFailed
 from .linalg import identity
 from .measures import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
-                       _atom_count, _ft_product, ft_eval_many,
-                       ft_tail_eval_many, level_word_sums)
+                       _as_basis, _as_points, _atom_count, _ft_product,
+                       ft_eval_many, ft_tail_eval_many, level_word_sums)
 from .triples import HadamardTriple, mask_eval_many, tau_float_many
 
 if TYPE_CHECKING:
@@ -55,6 +55,13 @@ class SpectrumGenerator:
 
     def describe(self) -> dict:
         raise NotImplementedError
+
+
+def _require_dim(dim: int, gen: SpectrumGenerator) -> None:
+    """Raise DimensionMismatch unless gen's frequencies lie in R^dim."""
+    if gen.dim != dim:
+        raise DimensionMismatch(f"{gen.describe()['kind']} generator is "
+                                f"{gen.dim}-D but the system is {dim}-D")
 
 
 class LevelSetsGenerator(SpectrumGenerator):
@@ -93,11 +100,8 @@ class LatticeGenerator(SpectrumGenerator):
     """Points G m for integer m with ||m||_inf <= level."""
 
     def __init__(self, basis):
-        b = np.atleast_2d(np.asarray(basis, dtype=float))
-        if b.shape[0] != b.shape[1]:
-            raise ValueError("lattice basis must be square")
-        self.basis = b
-        self.dim = b.shape[0]
+        self.dim = len(basis) if np.ndim(basis) == 2 else 1
+        self.basis = _as_basis(self.dim, basis)
 
     def level(self, n: int) -> np.ndarray:
         rng = np.arange(-n, n + 1)
@@ -115,13 +119,8 @@ class ExplicitGenerator(SpectrumGenerator):
     windowed = False
 
     def __init__(self, points):
-        p = np.asarray(points, dtype=float)
-        if p.ndim == 0:
-            p = p.reshape(1, 1)
-        elif p.ndim == 1:
-            p = p.reshape(-1, 1)
-        self.points = p
-        self.dim = p.shape[1]
+        self.dim = np.shape(points)[1] if np.ndim(points) == 2 else 1
+        self.points = _as_points(self.dim, points)
 
     def level(self, n: int) -> np.ndarray:
         return self.points
@@ -296,14 +295,14 @@ def qp_eval(sys: ConvolutionSystem, gen: SpectrumGenerator, xi,
     Monotone nondecreasing in the window; the bound accumulates the
     per-term truncation slack 2|v|b + b^2.
     """
-    x = np.asarray(xi, dtype=float).reshape(1, -1)
-    q, slack, terms = _q_grid(sys, gen, x, window, pol)
+    q, slack, terms = _q_grid(sys, gen, _as_points(sys.dim, xi), window, pol)
     return QValue(float(q[0]), terms, float(slack[0]))
 
 
 def _q_grid(sys: ConvolutionSystem, gen: SpectrumGenerator, grid: np.ndarray,
             window: int, pol: TruncationPolicy) -> tuple[np.ndarray, np.ndarray, int]:
-    """Q over a grid in one batched transform call."""
+    """Q over an (m, d) grid in one batched transform call."""
+    _require_dim(sys.dim, gen)
     lam = gen.level(window)
     pts = grid[:, None, :] + lam[None, :, :]
     vals, bounds = ft_eval_many(sys, pts.reshape(-1, sys.dim), pol)
@@ -385,9 +384,7 @@ def check_spectrum(sys: ConvolutionSystem, gen: SpectrumGenerator, grid,
     """
     if isinstance(grid, (int, np.integer)):
         grid = uniform_grid(int(grid), sys.dim)
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if grid.shape[1] != sys.dim:
-        grid = grid.reshape(-1, sys.dim)
+    grid = _as_points(sys.dim, grid, "grid")
     q, slack, terms = _q_grid(sys, gen, grid, window, pol)
     rows = [QPoint(tuple(map(float, grid[i])), float(q[i]), terms, float(slack[i]))
             for i in range(len(grid))]
@@ -396,8 +393,7 @@ def check_spectrum(sys: ConvolutionSystem, gen: SpectrumGenerator, grid,
         params={"generator": gen.describe(), "window": window,
                 "eps_complete": eps_complete, "eps_orth": eps_orth,
                 "grid_points": len(grid),
-                "policy": {"depth": pol.depth, "target_error": pol.target_error,
-                           "max_depth": pol.max_depth}},
+                "policy": asdict(pol)},
         rows=rows,
         min_q=float(q.min()), max_q=float(q.max()),
         passed=bool(q.min() >= 1 - eps_complete and q.max() <= 1 + eps_orth),
@@ -414,6 +410,7 @@ def orthogonality_check(sys: ConvolutionSystem, gen: SpectrumGenerator,
     Exhaustive when the pair count fits under max_pairs, otherwise a seeded
     sample of pairs.
     """
+    _require_dim(sys.dim, gen)
     lam = gen.level(window)
     n = len(lam)
     if n < 2:
@@ -443,9 +440,7 @@ def transfer_apply(t: HadamardTriple, f: Callable[[np.ndarray], np.ndarray],
     f is an evaluator over (m, d) arrays, not a table of samples, so no
     interpolation error enters fixed-point tests.
     """
-    pts = np.atleast_2d(np.asarray(grid, dtype=float))
-    if pts.shape[1] != t.dim:
-        pts = pts.reshape(-1, t.dim)
+    pts = _as_points(t.dim, grid, "grid")
     out = np.zeros(len(pts))
     for ell in t.L.vectors:
         moved = tau_float_many(t.R, ell, pts)
@@ -460,10 +455,7 @@ def make_q_evaluator(sys: ConvolutionSystem, gen: SpectrumGenerator,
     """Vectorized xi -> Q(xi) closure for transfer-operator experiments."""
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
-        pts2 = np.atleast_2d(np.asarray(pts, dtype=float))
-        if pts2.shape[1] != sys.dim:
-            pts2 = pts2.reshape(-1, sys.dim)
-        q, _, _ = _q_grid(sys, gen, pts2, window, pol)
+        q, _, _ = _q_grid(sys, gen, _as_points(sys.dim, pts), window, pol)
         return q
 
     return evaluator

@@ -134,6 +134,11 @@ def test_missing_fields_exit_1_without_traceback(tmp_path):
         # a digit of 1.5 is refused, not truncated to 1
         ("verify", {"R": 2, "B": [0, 1.5], "L": [0, 1]},
          "bad triple: expected an integer, got 1.5"),
+        # a coupling entry of 1.5 is refused, not truncated to 1
+        ("quasiproduct", {"R1": 2, "a": [0, 1], "L1": [0, 1], "R": 2,
+                          "B_family": [[0, 1], [0, 3]], "L": [0, 1],
+                          "C": [[1.5]]},
+         "expected an integer, got 1.5"),
     ):
         cfg = _write(tmp_path, f"{command}.json", payload)
         proc = subprocess.run(

@@ -40,6 +40,18 @@ def test_quasi_product_any_coupling_verifies():
         assert big.R.rows == ((2, 0), (c, 2))
 
 
+def test_coupling_entries_are_integers():
+    args = (2, [0, 1], [0, 1], 2, [[0, 1], [0, 3]], [0, 1])
+    # integral floats, numpy ints and a bare number are integers
+    for c in ([[3.0]], np.array([[3]]), 3):
+        assert quasi_product_spec(*args, c=c).C == ((3,),)
+    assert quasi_product_spec(*args, c=[[0]]).C is None
+    # 1.5 is refused, not truncated to 1
+    for c in ([[1.5]], 1.5, [[float("nan")]]):
+        with pytest.raises(ValueError, match="expected an integer"):
+            quasi_product_spec(*args, c=c)
+
+
 def test_quasi_product_complete_residue_block(example_spec):
     big = build_quasi_product(example_spec)
     assert is_complete_residue_set(big.R, big.B.vectors)
