@@ -390,10 +390,8 @@ def cmd_probe(args) -> int:
     sysm = _parse_system({**obj, "kind": "random_word"}, args.tol)
     gen = _parse_generator(obj.get("generator", {"kind": "lattice", "basis": 1}),
                            args, sysm.dim)
-    probes = _numeric_array(obj["probes"])
-    if probes.size == 0:
-        raise CliError("'probes' must list at least one point")
-    rep = counterexample_probe(sysm.triples, sysm.word, gen, probes,
+    rep = counterexample_probe(sysm.triples, sysm.word, gen,
+                               _numeric_array(obj["probes"]),
                                window=args.window, pol=_policy(args),
                                tail=sysm.tail)
     payload = rep.to_dict()

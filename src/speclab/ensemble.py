@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NotCompleteResidue
 from .linalg import is_complete_residue_set
 from .measures import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
-                       _as_points, random_word)
+                       _as_basis, _as_points, random_word)
 from .quasiproduct import TilingReport, lattice_tiling_check
 from .spectra import (SpectrumGenerator, _require_dim, check_spectrum,
                       qp_eval, window_notes)
@@ -181,9 +181,11 @@ def ensemble_tiling_report(cfg: EnsembleConfig, basis,
                            tol: float = 1e-7) -> EnsembleReport:
     """lattice_tiling_check over random words.
 
-    Requires every digit set to be a complete residue system for its R;
-    min_q/max_q columns carry the off-lattice mass instead of Q.
+    Requires every digit set to be a complete residue system for its R and
+    a basis of the family's dimension; min_q/max_q columns carry the
+    off-lattice mass instead of Q.
     """
+    basis = _as_basis(cfg.generator.dim, basis)
     for t in cfg.triples:
         if not is_complete_residue_set(t.R, t.B.vectors):
             raise NotCompleteResidue(

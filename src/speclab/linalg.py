@@ -4,11 +4,13 @@ Everything that feeds a certificate (determinants, expansivity, residue
 classes, cycle fixed points) runs over Python integers and
 ``fractions.Fraction``; floating point only appears in the norm series
 behind ``contraction_factor``, which is an estimate rather than a
-certificate. numpy loads there and in ``IntMatrix.as_numpy``, not on import.
+certificate. Every inverse is ``inverse``'s exact adj(M) / det(M), or its
+float view; numpy loads only there and in the norm series, not on import.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -40,10 +42,6 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows)))
-
-    def as_numpy(self) -> np.ndarray:
-        import numpy as np
-        return np.array(self.rows, dtype=float)
 
     def as_fractions(self) -> RatMatrix:
         return tuple(tuple(Fraction(x) for x in r) for r in self.rows)
@@ -259,12 +257,30 @@ def adjugate(m: IntMatrix) -> IntMatrix:
                            for i in range(d)))
 
 
-def rat_inverse(m: IntMatrix) -> RatMatrix:
-    """Exact inverse of an integer matrix as a Fraction matrix."""
+@functools.lru_cache(maxsize=256)
+def inverse(m: IntMatrix) -> tuple[IntMatrix, int]:
+    """M^{-1} = adj(M) / det(M), exactly: (adj M, det M), cached per M.
+
+    The one place an inverse is formed; raises SingularMatrix when
+    det M = 0.
+    """
     dt = det(m)
     if dt == 0:
         raise SingularMatrix("matrix is singular")
-    return tuple(tuple(Fraction(x, dt) for x in row) for row in adjugate(m).rows)
+    return adjugate(m), dt
+
+
+def inverse_float(m: IntMatrix) -> np.ndarray:
+    """M^{-1} as floats, each entry adj(M)_ij / det(M) rounded once."""
+    import numpy as np
+    adj, dt = inverse(m)
+    return np.array([[x / dt for x in row] for row in adj.rows])
+
+
+def rat_inverse(m: IntMatrix) -> RatMatrix:
+    """Exact inverse of an integer matrix as a Fraction matrix."""
+    adj, dt = inverse(m)
+    return tuple(tuple(Fraction(x, dt) for x in row) for row in adj.rows)
 
 
 def rat_apply(a: RatMatrix, v: Sequence[Fraction]) -> RatVector:
@@ -273,19 +289,16 @@ def rat_apply(a: RatMatrix, v: Sequence[Fraction]) -> RatVector:
 
 
 def residue_classes_distinct(r, digits: Iterable) -> bool:
-    """True iff no two digits are congruent modulo R Z^d (exact)."""
+    """True iff no two digits are congruent modulo R Z^d (exact).
+
+    b - b' lies in R Z^d iff adj(R)(b - b') = 0 mod det R, so the digits
+    are distinct modulo R iff their keys adj(R) b mod |det R| are.
+    """
     r = as_int_matrix(r)
-    if det(r) == 0:
-        raise SingularMatrix("scaling matrix is singular")
-    inv = rat_inverse(r)
-    ds = [as_int_vector(b, r.dim) for b in digits]
-    for i in range(len(ds)):
-        for j in range(i):
-            diff = tuple(Fraction(ds[i][k] - ds[j][k]) for k in range(r.dim))
-            x = rat_apply(inv, diff)
-            if all(q.denominator == 1 for q in x):
-                return False
-    return True
+    adj, dt = inverse(r)
+    keys = [tuple(x % abs(dt) for x in adj.apply(as_int_vector(b, r.dim)))
+            for b in digits]
+    return len(set(keys)) == len(keys)
 
 
 def is_complete_residue_set(r, digits: Iterable) -> bool:
@@ -348,11 +361,7 @@ def inv_transpose_series(rs: Iterable, max_steps: int = 32) -> NormSeries:
     otherwise NotContractive.
     """
     import numpy as np
-    invs = []
-    for m in {as_int_matrix(r) for r in rs}:
-        if det(m) == 0:
-            raise SingularMatrix("matrix is singular")
-        invs.append(np.linalg.inv(m.as_numpy().T))
+    invs = [inverse_float(m).T for m in {as_int_matrix(r) for r in rs}]
     if len(invs) > 1:
         c = max(float(np.linalg.norm(s, 2)) for s in invs)
         if c >= 1.0:

@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import (adjugate, det, identity, inv_transpose_series,
-                     rat_apply, residue_classes_distinct)
+from .linalg import (identity, inv_transpose_series, inverse, rat_apply,
+                     residue_classes_distinct)
 from .triples import HadamardTriple
 
 DEFAULT_TARGET = 1e-10
@@ -188,14 +188,13 @@ class ConvolutionSystem:
         """
         table = self._caches.setdefault("levels", [])
         if len(table) < upto:
-            steps = {r: (tuple(zip(*adjugate(r).rows)), det(r))
-                     for r in {t.R for t in self.triples}}
             num, den = table[-1] if table else (identity(self.dim).rows, 1)
             for k in range(len(table) + 1, upto + 1):
                 if (t := self.triple_at(k)) is not None:
-                    cols, det_r = steps[t.R]
+                    adj, det_r = inverse(t.R)
                     num = tuple(tuple(sum(map(operator.mul, row, col))
-                                      for col in cols) for row in num)
+                                      for col in zip(*adj.rows))
+                                for row in num)
                     den *= det_r
                 table.append((num, den))
         return table[:upto]
@@ -252,9 +251,11 @@ def _as_points(dim: int, x, what: str = "xi") -> np.ndarray:
 
     The one shape rule for points, grids and frequency sets: in 1-D a
     scalar, a flat list or an (m, 1) array; in R^dim a length-dim vector
-    (one point) or an (m, dim) array. Anything else raises.
+    (one point) or an (m, dim) array, with m >= 1. Anything else raises.
     """
     pts = np.asarray(x, dtype=float)
+    if not pts.size:
+        raise DimensionMismatch(f"{what} must list at least one point")
     if dim == 1 and pts.ndim < 2:
         return pts.reshape(-1, 1)
     if pts.shape == (dim,):
@@ -263,6 +264,15 @@ def _as_points(dim: int, x, what: str = "xi") -> np.ndarray:
         return pts
     raise DimensionMismatch(f"{what} must be points in R^{dim}, "
                             f"got an array of shape {pts.shape}")
+
+
+def _as_point(dim: int, x, what: str = "xi") -> np.ndarray:
+    """x as a (1, dim) array: the rule of `_as_points`, for exactly one point."""
+    pts = _as_points(dim, x, what)
+    if len(pts) != 1:
+        raise DimensionMismatch(f"{what} must be one point in R^{dim}, "
+                                f"got {len(pts)}")
+    return pts
 
 
 def _as_basis(dim: int, x) -> np.ndarray:
@@ -309,7 +319,7 @@ def ft_eval_many(sys: ConvolutionSystem, xi, pol: TruncationPolicy = DEFAULT_POL
 
 def ft_eval(sys: ConvolutionSystem, xi, pol: TruncationPolicy = DEFAULT_POLICY) -> FtValue:
     """mu^(xi) as a truncated product with a certified tail bound."""
-    vals, bounds = ft_eval_many(sys, xi, pol)
+    vals, bounds = ft_eval_many(sys, _as_point(sys.dim, xi), pol)
     return FtValue(complex(vals[0]), float(bounds[0]))
 
 
@@ -323,14 +333,13 @@ def ft_tail_eval_many(sys: ConvolutionSystem, n: int, xi,
 
 def ft_tail_eval(sys: ConvolutionSystem, n: int, xi,
                  pol: TruncationPolicy = DEFAULT_POLICY) -> FtValue:
-    vals, bounds = ft_tail_eval_many(sys, n, xi, pol)
+    vals, bounds = ft_tail_eval_many(sys, n, _as_point(sys.dim, xi), pol)
     return FtValue(complex(vals[0]), float(bounds[0]))
 
 
 def ft_partial_eval(sys: ConvolutionSystem, n: int, xi) -> complex:
     """Transform of the finite convolution mu_n (exact product, no tail)."""
-    pts = _as_points(sys.dim, xi)
-    return complex(_ft_product(sys, pts, n, skip_upto=0)[0])
+    return complex(_ft_product(sys, _as_point(sys.dim, xi), n)[0])
 
 
 # -- support geometry --------------------------------------------------------

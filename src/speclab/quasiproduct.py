@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidPadding, VerificationFailed
 from .linalg import (IntMatrix, as_int_matrix, as_int_vector,
-                     inv_transpose_series, rat_inverse)
+                     inv_transpose_series, inverse_float)
 from .measures import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
                        _as_basis, _as_points, ft_eval_many, random_word,
                        self_affine)
@@ -171,61 +171,50 @@ def fiber_system(spec: QuasiProductSpec, word, tail: str = "repeat_last",
 
     Returns the fiber measure together with the base point
     pi(omega) = sum_k R1^{-k} a_{omega_k} and the shear
-    g(omega) = sum_k D_k a_{omega_k}, D_k = -sum_j R^{-(j+1)} C R1^{-(k-j)};
-    both are truncated with geometric error bounds (the shear vanishes when
-    C = 0).
+    g(omega) = sum_k D_k a_{omega_k}, both truncated at `depth` with error
+    bounds (the shear vanishes when C = 0). The block matrix has inverse
+    powers RR^{-k} = [[R1^{-k}, 0], [D_k, R^{-k}]], so (pi, g) is
+    sum_k RR^{-k} (a_{omega_k}, 0), read off the exact level table of RR.
+    ||R1^{-k}||_2 = ||(R1^T)^{-k}||_2, so the norm series of R1 bounds the
+    rest of pi.
     """
     w = tuple(int(x) for x in word)
     if any(not 0 <= x < spec.outer_size for x in w):
         raise ValueError("word digits out of range for the outer digit set")
     sys = random_word(spec.inner_triples(), w, tail=tail)
-
-    a = np.array([list(x) for x in spec.a], dtype=float)
-    r1_pows = self_affine(spec.outer_triple()).cumulative_inverse(depth)  # R1^{-k}
-    base = np.zeros(spec.outer_dim)
+    r = spec.outer_dim
+    a = np.zeros((spec.outer_size, r + spec.inner_dim))
+    a[:, :r] = spec.a
+    powers = self_affine(build_quasi_product(spec)).cumulative_inverse(depth)
+    total = np.zeros(r + spec.inner_dim)
     for k in range(1, depth + 1):
         if (wk := sys.letter_at(k)) is not None:
-            base += r1_pows[k - 1] @ a[wk]
-    shear, shear_bound = _shear_series(spec, sys, depth, r1_pows)
-    # ||R1^{-k}||_2 = ||(R1^T)^{-k}||_2, so the norm series bounds the rest
-    amax = float(np.linalg.norm(a, axis=1).max()) if len(a) else 0.0
+            total += powers[k - 1] @ a[wk]
+    amax = float(np.linalg.norm(a[:, :r], axis=1).max())
     base_bound = amax * inv_transpose_series([spec.R1]).tail(depth)
-    return FiberDecomposition(sys, base, base_bound, shear, shear_bound)
+    return FiberDecomposition(sys, total[:r], base_bound, total[r:],
+                              _shear_bound(spec, amax, depth))
 
 
-def _shear_series(spec: QuasiProductSpec, sys: ConvolutionSystem, depth: int,
-                  r1_pows: np.ndarray) -> tuple[np.ndarray, float]:
-    """g(omega) = sum_k D_k a_{omega_k} over the fibre's levels k <= depth,
-    with D_k = -sum_{j=0}^{k-1} R^{-(j+1)} C R1^{-(k-j)}, and a bound on
-    the rest. r1_pows[k-1] = R1^{-k}; R^{-k} is the fibre's own level table,
-    since all its levels share R.
+def _shear_bound(spec: QuasiProductSpec, amax: float, depth: int) -> float:
+    """Bound on the shear terms of the levels beyond depth.
 
-    With g = max(||R1^{-1}||, ||R^{-1}||) < 1, each of the k terms of D_k has
-    norm at most ||C|| g^{k+1}, so the levels beyond depth add at most
-    amax ||C|| sum_{k>depth} k g^{k+1}, summed in closed form.
+    With g = max(||R1^{-1}||, ||R^{-1}||) < 1, each of the k terms of
+    D_k = -sum_{j<k} R^{-(j+1)} C R1^{-(k-j)} has norm at most ||C|| g^{k+1},
+    so those levels add at most amax ||C|| sum_{k>depth} k g^{k+1}, summed
+    in closed form.
     """
-    c = spec.coupling()
-    if not c.any():
-        return np.zeros(spec.inner_dim), 0.0
-    r1_inv = np.linalg.inv(np.array(spec.R1.rows, dtype=float))
-    r_inv = np.linalg.inv(np.array(spec.R.rows, dtype=float))
-    a = np.array([list(x) for x in spec.a], dtype=float)
-    out = np.zeros(spec.inner_dim)
-    r_pows = sys.cumulative_inverse(depth)
-    for k in range(1, depth + 1):
-        if (wk := sys.letter_at(k)) is None:
-            break
-        d_k = -sum(r_pows[j] @ c @ r1_pows[k - j - 1] for j in range(k))
-        out += d_k @ a[wk]
-    g = max(float(np.linalg.norm(r1_inv, 2)), float(np.linalg.norm(r_inv, 2)))
+    cn = float(np.linalg.norm(spec.coupling(), 2))
+    if cn == 0:
+        return 0.0
+    g = max(float(np.linalg.norm(inverse_float(m), 2))
+            for m in (spec.R1, spec.R))
     if g >= 1:
-        return out, np.inf
-    amax = float(np.linalg.norm(a, axis=1).max())
-    cn = float(np.linalg.norm(c, 2))
+        return np.inf
     # sum_{k>N} k x^k = x^(N+1) ((N+1) - N x) / (1-x)^2, times g for g^(k+1)
     n = depth
     rest = g ** (n + 2) * ((n + 1) - n * g) / (1 - g) ** 2
-    return out, amax * cn * rest
+    return amax * cn * rest
 
 
 def product_spectrum_check(spec: QuasiProductSpec, gen1: SpectrumGenerator,
@@ -300,7 +289,8 @@ def lattice_tiling_check(sys: ConvolutionSystem, basis, window: int = 64,
     """
     from .spectra import LatticeGenerator
     lattice = LatticeGenerator(_as_basis(sys.dim, basis)).level(window)
-    pts = np.delete(lattice, len(lattice) // 2, axis=0)  # the middle row is 0
+    pts = _as_points(sys.dim, np.delete(lattice, len(lattice) // 2, axis=0),
+                     "the tiling window")  # the middle row is 0
     vals, bounds = ft_eval_many(sys, pts, pol)
     mags = np.abs(vals)
     ok = mags <= tol + bounds
@@ -312,10 +302,8 @@ def lattice_tiling_check(sys: ConvolutionSystem, basis, window: int = 64,
 
 
 def dual_lattice_basis(spatial_basis) -> np.ndarray:
-    """Dual basis (B^T)^{-1}, exact over rationals then cast to float."""
-    b = as_int_matrix(spatial_basis)
-    inv_t = rat_inverse(b.transpose())
-    return np.array([[float(x) for x in row] for row in inv_t])
+    """Dual basis (B^T)^{-1}, each entry its exact value rounded once."""
+    return inverse_float(as_int_matrix(spatial_basis)).T
 
 
 def _hnf_sublattices(dim: int, max_index: int):

@@ -26,8 +26,9 @@ import numpy as np
 from .errors import DimensionMismatch, SizeCap, VerificationFailed
 from .linalg import identity
 from .measures import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
-                       _as_basis, _as_points, _atom_count, _ft_product,
-                       ft_eval_many, ft_tail_eval_many, level_word_sums)
+                       _as_basis, _as_point, _as_points, _atom_count,
+                       _ft_product, ft_eval_many, ft_tail_eval_many,
+                       level_word_sums)
 from .triples import HadamardTriple, mask_eval_many, tau_float_many
 
 if TYPE_CHECKING:
@@ -120,7 +121,7 @@ class ExplicitGenerator(SpectrumGenerator):
 
     def __init__(self, points):
         self.dim = np.shape(points)[1] if np.ndim(points) == 2 else 1
-        self.points = _as_points(self.dim, points)
+        self.points = _as_points(self.dim, points, "explicit points")
 
     def level(self, n: int) -> np.ndarray:
         return self.points
@@ -295,7 +296,7 @@ def qp_eval(sys: ConvolutionSystem, gen: SpectrumGenerator, xi,
     Monotone nondecreasing in the window; the bound accumulates the
     per-term truncation slack 2|v|b + b^2.
     """
-    q, slack, terms = _q_grid(sys, gen, _as_points(sys.dim, xi), window, pol)
+    q, slack, terms = _q_grid(sys, gen, _as_point(sys.dim, xi), window, pol)
     return QValue(float(q[0]), terms, float(slack[0]))
 
 

@@ -10,7 +10,6 @@ verifying a triple needs no numpy; it loads only when a float path first runs.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,10 +17,9 @@ from operator import mul
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import DimensionMismatch, VerificationFailed
-from .linalg import (IntMatrix, adjugate, as_int_matrix, as_int_vector,
-                     as_rat_vector, contraction_factor, det,
-                     inv_transpose_series, is_expansive, rat_apply,
-                     rat_inverse, RatMatrix, RatVector)
+from .linalg import (IntMatrix, as_int_matrix, as_int_vector, as_rat_vector,
+                     contraction_factor, inv_transpose_series, inverse,
+                     inverse_float, is_expansive, RatVector)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -152,8 +150,7 @@ def _phase_rows(t: HadamardTriple) -> list[list[complex]]:
     entry exp(2 pi i k / det R) is read off k mod det R (which takes the sign
     of det R): no float inverse enters the phases.
     """
-    d = det(t.R)
-    adj = adjugate(t.R)
+    adj, d = inverse(t.R)
     ab = [adj.apply(b) for b in t.B.vectors]
     return [[cmath.exp(2j * cmath.pi * (sum(map(mul, a, l)) % d) / d)
              for a in ab] for l in t.L.vectors]
@@ -214,27 +211,21 @@ def mask_is_extreme_at(digits: DigitSet | Iterable, x) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=64)
-def _inv_transpose_exact(rm: IntMatrix) -> RatMatrix:
-    return rat_inverse(rm.transpose())
-
-
 def tau_exact(r, ell, x) -> RatVector:
-    """Exact dual map (R^T)^{-1}(x + ell) over rationals."""
+    """Exact dual map (R^T)^{-1}(x + ell) = adj(R)^T (x + ell) / det R."""
     rm = as_int_matrix(r)
+    adj, d = inverse(rm)
     lv = as_int_vector(ell, rm.dim)
-    xv = as_rat_vector(x, rm.dim)
-    return rat_apply(_inv_transpose_exact(rm),
-                     tuple(xv[i] + lv[i] for i in range(rm.dim)))
+    y = [a + b for a, b in zip(as_rat_vector(x, rm.dim), lv)]
+    return tuple(sum(map(mul, col, y)) / d for col in zip(*adj.rows))
 
 
 def tau_float_many(r, ell, xs: np.ndarray) -> np.ndarray:
     """Dual map applied to an array of points (float path for sweeps)."""
     import numpy as np
     rm = as_int_matrix(r)
-    inv_t = np.linalg.inv(rm.as_numpy().T)
     lv = np.asarray(as_int_vector(ell, rm.dim), dtype=float)
-    return (xs + lv) @ inv_t.T
+    return (xs + lv) @ inverse_float(rm)
 
 
 def invariant_ball_radius(r, freqs: FrequencySet | Iterable,
@@ -263,8 +254,7 @@ def cycle_containment_radius(r, freqs: FrequencySet | Iterable,
     import numpy as np
     rm = as_int_matrix(r)
     fs = freqs if isinstance(freqs, FrequencySet) else FrequencySet.of(freqs)
-    inv_t = np.linalg.inv(rm.as_numpy().T)
-    m = float(np.linalg.norm(fs.as_numpy() @ inv_t.T, axis=1).max())
+    m = float(np.linalg.norm(fs.as_numpy() @ inverse_float(rm), axis=1).max())
     return m * (1.0 + inv_transpose_series([rm]).tail(0)) * (1.0 + margin)
 
 

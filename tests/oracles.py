@@ -232,6 +232,24 @@ def cumulative_inverses(rs) -> list[list[list[Fraction]]]:
     return out
 
 
+def shear_reference(r1, r, c, a, letters) -> np.ndarray:
+    """Quasi-product shear g = sum_k D_k a_{letters[k-1]} as the float
+    double sum D_k = -sum_{j<k} R^{-(j+1)} C R1^{-(k-j)}, from LAPACK
+    inverses; r1 is r x r, r is d x d, c is d x r and a holds the outer
+    digits as rows."""
+    r1_inv = np.linalg.inv(np.atleast_2d(np.array(r1, dtype=float)))
+    r_inv = np.linalg.inv(np.atleast_2d(np.array(r, dtype=float)))
+    c = np.array(c, dtype=float).reshape(len(r_inv), len(r1_inv))
+    a = np.array(a, dtype=float).reshape(-1, len(r1_inv))
+    power = np.linalg.matrix_power
+    out = np.zeros(len(r_inv))
+    for k, letter in enumerate(letters, start=1):
+        d_k = -sum(power(r_inv, j + 1) @ c @ power(r1_inv, k - j)
+                   for j in range(k))
+        out += d_k @ a[letter]
+    return out
+
+
 def level_product_ft(levels, xi: float) -> complex:
     """Finite 1-D product prod_k mean_b exp(-2 pi i b xi / (r_1...r_k)) over
     plain (r, digits) levels: the transform of a finite convolution."""

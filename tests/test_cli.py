@@ -399,3 +399,16 @@ def test_rerun_is_bit_identical(tmp_path):
               "--pass-threshold", "0.0"])
         outs.append((out / "random_samples.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_empty_grid_and_window_exit_1(tmp_path, capsys):
+    # an empty point set is refused with one line, not a numpy traceback
+    runs = (("check", {"system": QC_SYSTEM, "generator": {"kind": "lattice"}},
+             ["--grid", "0"], "grid must list at least one point"),
+            ("tiling", QC_SYSTEM, ["--window", "0"],
+             "the tiling window must list at least one point"))
+    for command, payload, extra, message in runs:
+        cfg = _write(tmp_path, f"{command}.json", payload)
+        assert main([command, "--input", cfg, "--out", str(tmp_path / "o"),
+                     *extra]) == 1
+        assert message in capsys.readouterr().err

@@ -1,16 +1,20 @@
 """Property tests of the level sequence, the certified tail bound, the
-level-matrix spectrum, the level table behind the transform, Parseval and
-the completeness functional."""
+level-matrix spectrum, the exact inverse and the level table behind the
+transform, Parseval and the completeness functional."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from speclab import (LatticeGenerator, TruncationPolicy, build_fn,
-                     ft_eval_many, general_product, hadamard_matrix,
-                     periodic_word, qp_eval, random_word, self_affine, triple)
+from speclab import (LatticeGenerator, SingularMatrix, TruncationPolicy,
+                     as_int_matrix, build_fn, det, ft_eval_many,
+                     general_product, hadamard_matrix, periodic_word, qp_eval,
+                     random_word, self_affine, triple)
+from speclab.linalg import inverse, inverse_float
 from speclab.triples import parseval_defect
 
 import oracles
@@ -120,6 +124,24 @@ def test_level_table_matches_fraction_products(seq, two_d):
                               for c in exact]
     assert [list(map(list, c)) for c in
             sys.cumulative_inverse_exact(len(levels))] == exact
+
+
+@given(m=st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-9, 9), min_size=d, max_size=d),
+    min_size=d, max_size=d)))
+def test_inverse_is_exact_adjugate_over_determinant(m):
+    """M adj(M) = det(M) I exactly; the float view rounds each entry once."""
+    im = as_int_matrix(m)
+    if det(im) == 0:
+        with pytest.raises(SingularMatrix):
+            inverse(im)
+        return
+    adj, d = inverse(im)
+    assert d == det(im)
+    assert (im @ adj).rows == tuple(tuple(d * (i == j) for j in range(im.dim))
+                                    for i in range(im.dim))
+    assert inverse_float(im).tolist() == [[float(Fraction(x, d)) for x in row]
+                                          for row in adj.rows]
 
 
 @given(seq=mixed_seqs.filter(lambda s: len(s) <= 10),

@@ -141,6 +141,28 @@ def test_shear_bound_covers_deeper_levels():
         assert 0 < gap <= fib.shear_bound
 
 
+def test_fiber_shear_matches_double_sum():
+    # the shear read off RR's level table against the O(depth^2) double sum
+    specs = [quasi_product_spec(2, [0, 1], [0, 1], 2, [[0, 1], [0, 3]],
+                                [0, 1], c=[[c]]) for c in (-2, -1, 1, 2)]
+    specs.append(quasi_product_spec(
+        2, [0, 1], [0, 1], [[1, 1], [-1, 1]],
+        [[(0, 0), (1, 0)], [(0, 0), (3, 0)]], [(0, 0), (1, 0)],
+        c=[[1], [1]]))
+    specs.append(quasi_product_spec(3, [0, 1, 2], [0, 1, 2], 2,
+                                    [[0, 1], [0, 3], [0, 5]], [0, 1],
+                                    c=[[-1]]))
+    for spec in specs:
+        for word in [(1,) * 6, (1, 0, 1, 1), (0, 1), (0,) * 5]:
+            for tail in ("repeat_last", "finite"):
+                fib = fiber_system(spec, word, tail=tail, depth=48)
+                letters = [fib.system.letter_at(k) for k in range(1, 49)]
+                ref = oracles.shear_reference(
+                    spec.R1.rows, spec.R.rows, spec.C, spec.a,
+                    [w for w in letters if w is not None])
+                assert np.abs(fib.shear - ref).max() <= 1e-12, (spec, word)
+
+
 def test_base_point_bound_for_multi_step_outer_scaling():
     # ||R1^{-1}||_2 = 1, so no one-step geometric bound exists; the norm
     # series of R1 (two-step contraction) still bounds the levels past depth

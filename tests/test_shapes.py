@@ -11,8 +11,10 @@ import pytest
 
 from speclab import (CycleSpectrumGenerator, DimensionMismatch,
                      EnsembleConfig, ExplicitGenerator, LatticeGenerator,
-                     check_spectrum, counterexample_probe, find_extreme_cycles,
-                     ft_eval_many, lattice_tiling_check, make_q_evaluator,
+                     check_spectrum, counterexample_probe,
+                     ensemble_tiling_report, find_extreme_cycles, ft_eval,
+                     ft_eval_many, ft_partial_eval, ft_tail_eval,
+                     lattice_tiling_check, make_q_evaluator,
                      orthogonality_check, qp_eval, quasi_product_spec,
                      self_affine, transfer_apply, triple)
 
@@ -74,6 +76,21 @@ def test_wrong_widths_raise_dimension_mismatch(
         "quasi_product_spec, 2x1 coupling for r = d = 1":
             lambda: quasi_product_spec(2, [0, 1], [0, 1], 2, [[0, 1], [0, 3]],
                                        [0, 1], c=[[1], [0]]),
+        # single-point entries take exactly one point
+        "ft_eval, two points": lambda: ft_eval(qc, [0.1, 0.3]),
+        "ft_tail_eval, two points": lambda: ft_tail_eval(qc, 2, [0.1, 0.3]),
+        "ft_partial_eval, two points":
+            lambda: ft_partial_eval(qc, 2, [0.1, 0.3]),
+        "qp_eval, two points": lambda: qp_eval(qc, lat1, [0.1, 0.3]),
+        # an empty point set is refused, not left to numpy
+        "lattice_tiling_check, window 0":
+            lambda: lattice_tiling_check(qc, 1, window=0),
+        "check_spectrum, (0, 1) grid":
+            lambda: check_spectrum(qc, lat1, np.zeros((0, 1))),
+        # the basis is checked once, before any sample runs
+        "ensemble_tiling_report, 2x2 basis for a 1-D family":
+            lambda: ensemble_tiling_report(
+                EnsembleConfig(two_digit_family, lat1, samples=2), np.eye(2)),
     }
     for name, call in cases.items():
         with pytest.raises(DimensionMismatch):

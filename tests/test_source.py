@@ -15,3 +15,28 @@ def test_no_assert_statements_in_the_package():
              if isinstance(node, ast.Assert)]
     assert sorted(SRC.glob("*.py")), "no package sources found"
     assert found == [], f"assert statements in src/speclab: {found}"
+
+
+def _dotted(node) -> str:
+    """`np.linalg.inv` for the callee of a call, or '' if it is no name."""
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def test_every_inverse_reads_the_one_exact_inverse():
+    # R^{-1} is formed only by linalg.inverse, as adj(R) / det(R): no float
+    # inversion, and no adjugate taken anywhere else
+    found = [f"{path.name}:{node.lineno} {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and ((name := _dotted(node.func)).endswith("linalg.inv")
+                  or (name.split(".")[-1] == "adjugate"
+                      and path.name != "linalg.py"))]
+    assert found == [], f"inverses formed outside linalg.inverse: {found}"
+    linalg = ast.parse((SRC / "linalg.py").read_text())
+    callers = {f.name for f in linalg.body if isinstance(f, ast.FunctionDef)
+               for node in ast.walk(f) if isinstance(node, ast.Call)
+               and _dotted(node.func) == "adjugate"}
+    assert callers == {"inverse"}

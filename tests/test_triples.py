@@ -95,6 +95,9 @@ def test_tau_exact_matrix():
     # (R^T)^{-1} = [[0, 1/2], [1, 0]]^{-1}... direct: R^T = [[0,1],[2,0]]
     # solve R^T y = x + l = (2, 1): y = (1/2, 2)... check R^T y: (2, 1) ok
     assert out == (Fraction(1, 2), Fraction(2))
+    # the float dual map reads the same inverse, not its transpose
+    assert tau_float_many([[0, 2], [1, 0]], (1, 0),
+                          np.array([[1.0, 1.0]])).tolist() == [[0.5, 2.0]]
 
 
 def test_parseval_identity_random_points():
