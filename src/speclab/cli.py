@@ -322,8 +322,9 @@ def _ensemble_exit(rep, args) -> int:
     """1 if any sample raised, else 0 or 2 by the pass threshold."""
     errors = [v.error for v in rep.verdicts if v.error]
     if errors:
-        print(f"error: {len(errors)} of {len(rep.verdicts)} samples raised; "
-              f"first: {errors[0]}", file=sys.stderr)
+        counts = ", ".join(f"{name} {n}" for name, n in rep.error_counts.items())
+        print(f"error: {len(errors)} of {len(rep.verdicts)} samples raised "
+              f"({counts}); first: {errors[0]}", file=sys.stderr)
         return 1
     return 0 if rep.pass_fraction >= args.pass_threshold else 2
 

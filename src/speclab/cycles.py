@@ -3,7 +3,8 @@
 A cycle is found from its defining word: the fixed point of the composed
 dual maps tau_{l_1}...tau_{l_m} is an exact rational (the system
 ((R^T)^m - I) x = sum_j (R^T)^{m-j} l_j is integer and nonsingular for
-expansive R), and extremity |m_B| = 1 is decided by integrality of <b, x>.
+expansive R, and is solved by `linalg.inverse`, one adjugate per period),
+and extremity |m_B| = 1 is decided by integrality of <b, x>.
 Words are enumerated as primitive necklaces so each cycle appears once.
 """
 
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ExactCheckFailed, MismatchedRL, NonIntegerElement
-from .linalg import as_int_vector, mat_pow, rat_solve
+from .linalg import IntMatrix, as_int_vector, inverse, mat_pow
 from .triples import (HadamardTriple, cycle_containment_radius,
                       mask_is_extreme_at, tau_exact)
 
@@ -72,9 +73,9 @@ def _primitive_necklaces(n_letters: int, length: int) -> Iterable[tuple[int, ...
 def fixed_point_of_word(t: HadamardTriple, word: Sequence) -> RatPoint:
     """Exact fixed point of tau_{l_1} o ... o tau_{l_m}.
 
-    Solves ((R^T)^m - I) x = sum_j (R^T)^{m-j} l_j over the rationals and
-    verifies the result by exact re-application of the word. The right-hand
-    side is accumulated by Horner's rule, s <- R^T s + l_j.
+    Solves A x = s with A = (R^T)^m - I and s = sum_j (R^T)^{m-j} l_j as
+    x = adj(A) s / det(A), and verifies the result by exact re-application
+    of the word. s is accumulated by Horner's rule, s <- R^T s + l_j.
     """
     ls = [as_int_vector(l, t.dim) for l in word]
     if not ls:
@@ -83,10 +84,10 @@ def fixed_point_of_word(t: HadamardTriple, word: Sequence) -> RatPoint:
     rhs = (0,) * t.dim
     for l in ls:
         rhs = tuple(a + b for a, b in zip(rt.apply(rhs), l))
-    a = mat_pow(rt, len(ls))
-    lhs = tuple(tuple(a.rows[i][j] - (i == j) for j in range(t.dim))
-                for i in range(t.dim))
-    x = rat_solve(lhs, rhs)
+    a = mat_pow(rt, len(ls)).rows
+    adj, dt = inverse(IntMatrix(tuple(
+        tuple(x - (i == j) for j, x in enumerate(r)) for i, r in enumerate(a))))
+    x = tuple(Fraction(s, dt) for s in adj.apply(rhs))
     y = x
     for l in reversed(ls):
         y = tau_exact(t.R, l, y)

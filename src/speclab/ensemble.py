@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import functools
 import statistics
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NotCompleteResidue
+from .errors import DimensionMismatch, NotCompleteResidue
 from .linalg import is_complete_residue_set
-from .measures import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
-                       _as_basis, _as_points, random_word)
-from .quasiproduct import TilingReport, lattice_tiling_check
-from .spectra import (SpectrumGenerator, _require_dim, check_spectrum,
-                      qp_eval, window_notes)
+from .measures import (DEFAULT_POLICY, TruncationPolicy, _as_basis,
+                       _as_points, random_word)
+from .quasiproduct import lattice_tiling_check
+from .spectra import (SpectrumGenerator, _grid_points, _require_dim,
+                      check_spectrum, qp_eval, window_notes)
 from .triples import HadamardTriple
 
 
@@ -100,12 +101,19 @@ class EnsembleReport:
     failing_words: list[tuple[int, ...]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
+    @property
+    def error_counts(self) -> dict[str, int]:
+        """Samples that raised, counted by exception type name."""
+        return dict(sorted(Counter(v.error.split(":", 1)[0]
+                                   for v in self.verdicts if v.error).items()))
+
     def to_dict(self) -> dict:
         return {"kind": self.kind, "config": self.config,
                 "pass_fraction": self.pass_fraction, "notes": self.notes,
                 "min_q_min": self.min_q_min,
                 "min_q_median": self.min_q_median, "min_q_p5": self.min_q_p5,
                 "failing_words": [list(w) for w in self.failing_words],
+                "error_counts": self.error_counts,
                 "verdicts": [v.to_dict() for v in self.verdicts]}
 
     def csv_rows(self) -> list[str]:
@@ -169,6 +177,7 @@ def _aggregate(kind: str, cfg: EnsembleConfig,
 
 def ensemble_spectrum_report(cfg: EnsembleConfig) -> EnsembleReport:
     """check_spectrum over `samples` random words; order-independent."""
+    _grid_points(cfg.generator.dim, cfg.grid)  # refuse a bad grid up front
     runner = functools.partial(
         _sample, cfg, functools.partial(_spectrum_check, cfg))
     rep = _aggregate("ensemble_spectrum", cfg, _run_samples(runner, cfg))
@@ -186,6 +195,8 @@ def ensemble_tiling_report(cfg: EnsembleConfig, basis,
     off-lattice mass instead of Q.
     """
     basis = _as_basis(cfg.generator.dim, basis)
+    if cfg.window < 1:
+        raise DimensionMismatch("the tiling window must list at least one point")
     for t in cfg.triples:
         if not is_complete_residue_set(t.R, t.B.vectors):
             raise NotCompleteResidue(

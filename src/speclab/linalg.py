@@ -4,13 +4,15 @@ Everything that feeds a certificate (determinants, expansivity, residue
 classes, cycle fixed points) runs over Python integers and
 ``fractions.Fraction``; floating point only appears in the norm series
 behind ``contraction_factor``, which is an estimate rather than a
-certificate. Every inverse is ``inverse``'s exact adj(M) / det(M), or its
-float view; numpy loads only there and in the norm series, not on import.
+certificate. Every inverse and every exact solve reads ``inverse``'s exact
+adj(M) / det(M), or its float view; numpy loads only there and in the norm
+series, not on import.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -211,37 +213,6 @@ def is_expansive(m) -> bool:
     return _roots_strictly_inside_unit_disk(reversed_p)
 
 
-def rat_solve(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> RatVector:
-    """Exact solution of a x = v by Gaussian elimination over Fractions."""
-    d = len(v)
-    m = [[Fraction(a[i][j]) for j in range(d)] + [Fraction(v[i])]
-         for i in range(d)]
-    for k in range(d):
-        piv = next((i for i in range(k, d) if m[i][k] != 0), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        m[k], m[piv] = m[piv], m[k]
-        pk = m[k][k]
-        for i in range(d):
-            if i != k and m[i][k] != 0:
-                f = m[i][k] / pk
-                for j in range(k, d + 1):
-                    m[i][j] -= f * m[k][j]
-    return tuple(m[i][d] / m[i][i] for i in range(d))
-
-
-def solve_exact(a, v) -> RatVector:
-    """Exact rational solve; raises SingularMatrix when det a = 0."""
-    if isinstance(a, IntMatrix):
-        rows = a.as_fractions()
-    elif isinstance(a, (int, Fraction)):
-        rows = ((Fraction(a),),)
-    else:
-        rows = tuple(tuple(Fraction(x) for x in row) for row in a)
-    v = as_rat_vector(v, len(rows))
-    return rat_solve(rows, v)
-
-
 def adjugate(m: IntMatrix) -> IntMatrix:
     """Exact adjugate: M adj(M) = det(M) I, so M^{-1} = adj(M) / det(M)."""
     d = m.dim
@@ -277,15 +248,22 @@ def inverse_float(m: IntMatrix) -> np.ndarray:
     return np.array([[x / dt for x in row] for row in adj.rows])
 
 
-def rat_inverse(m: IntMatrix) -> RatMatrix:
-    """Exact inverse of an integer matrix as a Fraction matrix."""
-    adj, dt = inverse(m)
-    return tuple(tuple(Fraction(x, dt) for x in row) for row in adj.rows)
+def solve_exact(a, v) -> RatVector:
+    """Exact rational solve; raises SingularMatrix when det a = 0.
 
-
-def rat_apply(a: RatMatrix, v: Sequence[Fraction]) -> RatVector:
-    return tuple(sum(row[j] * Fraction(v[j]) for j in range(len(row)))
-                 for row in a)
+    With q the common denominator of a's entries, A = q a is an integer
+    matrix and x = adj(A) (q v) / det(A), read from `inverse`.
+    """
+    if isinstance(a, IntMatrix):
+        a = a.rows
+    elif isinstance(a, (int, Fraction)):
+        a = ((a,),)
+    rows = [[Fraction(x) for x in row] for row in a]
+    q = math.lcm(*(x.denominator for row in rows for x in row))
+    adj, dt = inverse(IntMatrix(tuple(tuple(int(x * q) for x in row)
+                                      for row in rows)))
+    qv = [q * x for x in as_rat_vector(v, len(rows))]
+    return tuple(sum(c * x for c, x in zip(row, qv)) / dt for row in adj.rows)
 
 
 def residue_classes_distinct(r, digits: Iterable) -> bool:

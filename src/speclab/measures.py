@@ -12,15 +12,13 @@ c bounding the per-level contraction of the inverse transposes,
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import (identity, inv_transpose_series, inverse, rat_apply,
+from .linalg import (IntMatrix, identity, inv_transpose_series, inverse,
                      residue_classes_distinct)
 from .triples import HadamardTriple
 
@@ -180,36 +178,28 @@ class ConvolutionSystem:
             k = min(k, fin)
         return max(k, 1)
 
-    def _level_table(self, upto: int) -> list[tuple[tuple, int]]:
-        """C_k = (R_k...R_1)^{-1} = N_k / D_k, k = 1..upto, as (N_k rows, D_k).
+    def _level_table(self, upto: int) -> list[tuple[IntMatrix, int]]:
+        """C_k = (R_k...R_1)^{-1} = N_k / D_k, k = 1..upto, as (N_k, D_k).
 
         The one place C_k is built: C_k = C_{k-1} adj(R_k) / det(R_k) keeps
         N_k and D_k integers, and C_k = C_{k-1} past a finite tail.
         """
         table = self._caches.setdefault("levels", [])
         if len(table) < upto:
-            num, den = table[-1] if table else (identity(self.dim).rows, 1)
+            num, den = table[-1] if table else (identity(self.dim), 1)
             for k in range(len(table) + 1, upto + 1):
                 if (t := self.triple_at(k)) is not None:
                     adj, det_r = inverse(t.R)
-                    num = tuple(tuple(sum(map(operator.mul, row, col))
-                                      for col in zip(*adj.rows))
-                                for row in num)
-                    den *= det_r
+                    num, den = num @ adj, den * det_r
                 table.append((num, den))
         return table[:upto]
-
-    def cumulative_inverse_exact(self, upto: int) -> list:
-        """Exact (R_k...R_1)^{-1} as Fraction matrices for k = 1..upto."""
-        return [tuple(tuple(Fraction(x, den) for x in row) for row in num)
-                for num, den in self._level_table(upto)]
 
     def cumulative_inverse(self, upto: int) -> np.ndarray:
         """(R_k...R_1)^{-1} for k = 1..upto, shape (upto, d, d), each entry
         its exact value rounded once: no rounding compounds across levels."""
         flt = self._caches.get("levels_float", np.empty((0, self.dim, self.dim)))
         if len(flt) < upto:
-            rows = [[[x / den for x in row] for row in num]
+            rows = [[[x / den for x in row] for row in num.rows]
                     for num, den in self._level_table(upto)]
             flt = np.array(rows, dtype=float).reshape(-1, self.dim, self.dim)
             self._caches["levels_float"] = flt
@@ -393,16 +383,23 @@ def level_word_sums(sys: ConvolutionSystem, n: int, options, zero) -> np.ndarray
     return acc
 
 
-def _exact_atoms(sys: ConvolutionSystem, n: int) -> list[tuple]:
-    """All level-n atoms as exact Fraction vectors, in digit-word order."""
-    cum = sys.cumulative_inverse_exact(n)
+def _exact_atoms(sys: ConvolutionSystem, n: int) -> tuple[list[tuple], np.ndarray]:
+    """All level-n atoms in digit-word order, exactly and as floats.
+
+    The atom sum_k N_k b_k / D_k is the integer numerator sum_k N_k b_k
+    (D / D_k) over D = |D_n|, and numerator / D rounds it once.
+    """
+    table = sys._level_table(n)
+    den = abs(table[-1][1])
 
     def options(k: int, t: HadamardTriple) -> np.ndarray:
-        return np.array([rat_apply(cum[k - 1], b) for b in t.B.vectors],
-                        dtype=object)
+        num, den_k = table[k - 1]
+        return np.array([[x * (den // den_k) for x in num.apply(b)]
+                         for b in t.B.vectors], dtype=object)
 
     zero = np.zeros(sys.dim, dtype=object)
-    return [tuple(a) for a in level_word_sums(sys, n, options, zero)]
+    nums = [tuple(a) for a in level_word_sums(sys, n, options, zero)]
+    return nums, np.array([[x / den for x in v] for v in nums])
 
 
 def _atom_count(sys: ConvolutionSystem, n: int) -> int:
@@ -434,10 +431,9 @@ def no_overlap_assess(sys: ConvolutionSystem, n: int, samples: int = 4096,
     if m_n <= cap:
         residues_ok = all(residue_classes_distinct(t.R, t.B.vectors)
                           for t in triples_used.values())
-        values = _exact_atoms(sys, n)
+        values, arr = _exact_atoms(sys, n)
         injective = len(set(values)) == m_n
         diam = 2.0 * support_radius(sys, n)
-        arr = np.array([[float(x) for x in v] for v in values])
         min_gap = _min_pairwise_gap(arr)
         if residues_ok and injective and min_gap > diam:
             return NoOverlapReport("proven", n, detail={
@@ -452,10 +448,9 @@ def no_overlap_assess(sys: ConvolutionSystem, n: int, samples: int = 4096,
     m = n + extra_depth
     tol = max(2.0 * support_radius(sys, m), 1e-12)
     if _atom_count(sys, m) <= cap:
-        atoms = _exact_atoms(sys, m)
-        pts = np.array([[float(x) for x in v] for v in atoms])
+        _, pts = _exact_atoms(sys, m)
         # digit-word order puts each level-n prefix in one contiguous block
-        prefixes = np.arange(len(atoms)) // (len(atoms) // m_n)
+        prefixes = np.arange(len(pts)) // (len(pts) // m_n)
         hits, pairs = _near_pairs(pts, prefixes, tol)
         mode = "exhaustive"
     else:

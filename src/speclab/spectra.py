@@ -335,6 +335,13 @@ def uniform_grid(count: int, dim: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def _grid_points(dim: int, grid) -> np.ndarray:
+    """A grid as (m, dim) points; an int is `uniform_grid`'s count per axis."""
+    if isinstance(grid, (int, np.integer)):
+        grid = uniform_grid(int(grid), dim)
+    return _as_points(dim, grid, "grid")
+
+
 @dataclass
 class QPoint:
     xi: tuple[float, ...]
@@ -383,9 +390,7 @@ def check_spectrum(sys: ConvolutionSystem, gen: SpectrumGenerator, grid,
     window; the report echoes everything needed to rerun it, and its notes
     say when a completeness shortfall was measured over a window only.
     """
-    if isinstance(grid, (int, np.integer)):
-        grid = uniform_grid(int(grid), sys.dim)
-    grid = _as_points(sys.dim, grid, "grid")
+    grid = _grid_points(sys.dim, grid)
     q, slack, terms = _q_grid(sys, gen, grid, window, pol)
     rows = [QPoint(tuple(map(float, grid[i])), float(q[i]), terms, float(slack[i]))
             for i in range(len(grid))]

@@ -187,6 +187,7 @@ def test_errored_ensemble_samples_exit_1(tmp_path, capsys, monkeypatch):
         assert "RuntimeError: boom" in err
         rep = json.loads((out / report).read_text())
         assert all(v["error"] == "RuntimeError: boom" for v in rep["verdicts"])
+        assert rep["error_counts"] == {"RuntimeError": 4}
 
 
 def test_verify_malformed_json_exit_1(tmp_path):

@@ -9,7 +9,7 @@ from speclab import (IntMatrix, NotContractive, SingularMatrix,
                      residue_classes_distinct, solve_exact)
 from speclab.errors import ExactCheckFailed
 from speclab.linalg import (adjugate, as_int_matrix, as_int_vector, charpoly,
-                            inv_transpose_series, rat_inverse)
+                            inv_transpose_series, inverse)
 
 import oracles
 
@@ -74,7 +74,7 @@ def test_solve_exact_basic():
 
 
 def test_solve_exact_roundtrip_randomized():
-    rng = np.random.default_rng(3)
+    rng, rng2 = np.random.default_rng(3), np.random.default_rng(4)
     for _ in range(200):
         d = int(rng.integers(1, 4))
         a = rng.integers(-9, 10, size=(d, d))
@@ -83,14 +83,23 @@ def test_solve_exact_roundtrip_randomized():
         v = [Fraction(int(p), int(q)) for p, q in
              zip(rng.integers(-9, 10, size=d), rng.integers(1, 9, size=d))]
         rows = tuple(tuple(Fraction(int(x)) for x in row) for row in a)
-        sol = solve_exact(rows, v)
-        for i in range(d):
-            assert sum(rows[i][j] * sol[j] for j in range(d)) == v[i]
+        # dividing row i by q_i keeps the matrix nonsingular and gives
+        # non-integral entries, so solve_exact has denominators to clear
+        dens = rng2.integers(1, 9, size=d)
+        scaled = tuple(tuple(x / int(q) for x in row)
+                       for row, q in zip(rows, dens))
+        for mat in (rows, scaled):
+            sol = solve_exact(mat, v)
+            for i in range(d):
+                assert sum(mat[i][j] * sol[j] for j in range(d)) == v[i]
 
 
 def test_solve_exact_singular():
     with pytest.raises(SingularMatrix):
         solve_exact([[1, 1], [1, 1]], [1, 2])
+    with pytest.raises(SingularMatrix):  # det = 1/2 - 1/2 over the rationals
+        solve_exact([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]],
+                    [1, 2])
 
 
 @pytest.mark.parametrize("r,b,expected", [
@@ -166,11 +175,12 @@ def test_adjugate_and_exact_inverse():
         d, n = det(im), im.dim
         assert (im @ adjugate(im)).rows == tuple(
             tuple(d if i == j else 0 for j in range(n)) for i in range(n))
-        inv = rat_inverse(im)
-        assert all(sum(inv[i][k] * m[k][j] for k in range(n)) == (i == j)
+        adj, dt = inverse(im)
+        assert all(sum(Fraction(adj.rows[i][k], dt) * m[k][j]
+                       for k in range(n)) == (i == j)
                    for i in range(n) for j in range(n))
     with pytest.raises(SingularMatrix):
-        rat_inverse(as_int_matrix([[1, 2], [2, 4]]))
+        inverse(as_int_matrix([[1, 2], [2, 4]]))
 
 
 def test_norm_series_tail_is_exact_for_two_step_scaling():

@@ -2,6 +2,7 @@
 level-matrix spectrum, the exact inverse and the level table behind the
 transform, Parseval and the completeness functional."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from speclab import (LatticeGenerator, SingularMatrix, TruncationPolicy,
                      general_product, hadamard_matrix, periodic_word, qp_eval,
                      random_word, self_affine, triple)
 from speclab.linalg import inverse, inverse_float
+from speclab.measures import _exact_atoms
 from speclab.triples import parseval_defect
 
 import oracles
@@ -122,8 +124,26 @@ def test_level_table_matches_fraction_products(seq, two_d):
     assert table.shape == (len(levels), sys.dim, sys.dim)
     assert table.tolist() == [[[float(x) for x in row] for row in c]
                               for c in exact]
-    assert [list(map(list, c)) for c in
-            sys.cumulative_inverse_exact(len(levels))] == exact
+    assert [[[Fraction(x, den) for x in row] for row in num.rows]
+            for num, den in sys._level_table(len(levels))] == exact
+
+
+@given(seq=st.lists(st.integers(0, len(MIXED) - 1), min_size=1, max_size=4),
+       two_d=st.booleans())
+def test_exact_atoms_are_fraction_sums_rounded_once(seq, two_d):
+    """Level-n atoms over the table's common denominator are the Fraction
+    sums sum_k C_k b_k, and each float is that Fraction rounded once."""
+    pool = MIXED_2D if two_d else MIXED
+    levels = [pool[i % len(pool)] for i in seq]
+    cums = oracles.cumulative_inverses([_int_matrix(t) for t in levels])
+    exact = [tuple(sum(c[i][j] * b[j] for c, b in zip(cums, digits)
+                       for j in range(len(b))) for i in range(levels[0].dim))
+             for digits in itertools.product(*(t.B.vectors for t in levels))]
+    nums, floats = _exact_atoms(general_product(levels), len(levels))
+    den = abs(math.prod(det(t.R) for t in levels))
+    assert [tuple(Fraction(x, den) for x in v) for v in nums] == exact
+    assert [float(x).hex() for v in exact for x in v] == [
+        x.hex() for x in floats.ravel().tolist()]
 
 
 @given(m=st.integers(1, 4).flatmap(lambda d: st.lists(

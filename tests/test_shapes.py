@@ -12,11 +12,11 @@ import pytest
 from speclab import (CycleSpectrumGenerator, DimensionMismatch,
                      EnsembleConfig, ExplicitGenerator, LatticeGenerator,
                      check_spectrum, counterexample_probe,
-                     ensemble_tiling_report, find_extreme_cycles, ft_eval,
-                     ft_eval_many, ft_partial_eval, ft_tail_eval,
-                     lattice_tiling_check, make_q_evaluator,
-                     orthogonality_check, qp_eval, quasi_product_spec,
-                     self_affine, transfer_apply, triple)
+                     ensemble_spectrum_report, ensemble_tiling_report,
+                     find_extreme_cycles, ft_eval, ft_eval_many,
+                     ft_partial_eval, ft_tail_eval, lattice_tiling_check,
+                     make_q_evaluator, orthogonality_check, qp_eval,
+                     quasi_product_spec, self_affine, transfer_apply, triple)
 
 import oracles
 
@@ -91,6 +91,13 @@ def test_wrong_widths_raise_dimension_mismatch(
         "ensemble_tiling_report, 2x2 basis for a 1-D family":
             lambda: ensemble_tiling_report(
                 EnsembleConfig(two_digit_family, lat1, samples=2), np.eye(2)),
+        # and so are an empty grid and an empty tiling window
+        "ensemble_spectrum_report, grid 0":
+            lambda: ensemble_spectrum_report(
+                EnsembleConfig(two_digit_family, lat1, samples=2, grid=0)),
+        "ensemble_tiling_report, window 0":
+            lambda: ensemble_tiling_report(
+                EnsembleConfig(two_digit_family, lat1, samples=2, window=0), 1),
     }
     for name, call in cases.items():
         with pytest.raises(DimensionMismatch):

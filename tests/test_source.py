@@ -40,3 +40,34 @@ def test_every_inverse_reads_the_one_exact_inverse():
                for node in ast.walk(f) if isinstance(node, ast.Call)
                and _dotted(node.func) == "adjugate"}
     assert callers == {"inverse"}
+    # exact solves read the same pair: no Fraction elimination or Fraction
+    # matrix view of an inverse survives beside it
+    retired = {"rat_solve", "rat_inverse", "rat_apply",
+               "cumulative_inverse_exact"}
+    found = [f"{path.name}:{node.lineno} {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             for name in [getattr(node, "id", None) or getattr(node, "attr", None)
+                          or getattr(node, "name", None)]
+             if name in retired]
+    assert found == [], f"exact solves outside linalg.inverse: {found}"
+
+
+def _imported(tree) -> set[str]:
+    """Names bound by the module's imports, `from __future__` aside."""
+    return {(a.asname or a.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for a in node.names}
+
+
+def test_no_unused_imports():
+    # every imported name is read somewhere in its module; an annotation
+    # counts as a use
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name} {name}" for name in sorted(_imported(tree) - used)]
+    assert found == [], f"unused imports in src/speclab: {found}"
