@@ -189,15 +189,21 @@ def _write_lines(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _effective(args, extra: dict | None = None) -> dict:
-    eff = {"command": args.command, "input": args.input, "out": args.out,
-           "depth": args.depth, "tol": args.tol, "grid": args.grid,
-           "window": args.window, "mmax": args.mmax, "samples": args.samples,
-           "word_length": args.word_length, "seed": args.seed,
-           "threads": args.threads, "version": __version__}
-    if extra:
-        eff.update(extra)
-    return eff
+def _effective(args, **extra) -> dict:
+    """The run's config: the parsed options, which are those its command reads."""
+    return {**vars(args), "version": __version__, **extra}
+
+
+def _window(args, least: int) -> int:
+    if args.window < least:
+        raise CliError(f"--window must be >= {least}, got {args.window}")
+    return args.window
+
+
+def _mmax(args) -> int:
+    if args.mmax < 1:
+        raise CliError("--mmax must be >= 1")
+    return args.mmax
 
 
 def cmd_verify(args) -> int:
@@ -216,13 +222,12 @@ def cmd_verify(args) -> int:
 def cmd_cycles(args) -> int:
     from .cycles import (dynamically_simple_spectrum, find_extreme_cycles,
                          search_summary)
-    if args.mmax < 1:
-        raise CliError("--mmax must be >= 1")
+    mmax = _mmax(args)
     obj = _load_json(args.input)
     t = _parse_triple(obj, args.tol)
-    cycles = find_extreme_cycles(t, args.mmax)
+    cycles = find_extreme_cycles(t, mmax)
     payload = {"config": _effective(args)}
-    payload.update(search_summary(t, cycles, args.mmax))
+    payload.update(search_summary(t, cycles, mmax))
     if args.spectrum_level is not None:
         payload["spectrum_level"] = args.spectrum_level
         try:
@@ -233,29 +238,27 @@ def cmd_cycles(args) -> int:
             payload["spectrum"] = None
             payload["spectrum_note"] = str(exc)
     _write_json(_out_dir(args) / "cycles_report.json", payload)
-    print(f"{len(cycles)} extreme cycle(s) with period <= {args.mmax}")
+    print(f"{len(cycles)} extreme cycle(s) with period <= {mmax}")
     return 0
 
 
 def cmd_spectrum(args) -> int:
     obj = _load_json(args.input)
-    payload = {"config": _effective(args)}
-    if "kind" in obj:
+    system = "kind" in obj  # Lambda_n starts at n = 1, the cycle spectrum at 0
+    level = _window(args, 1) if system else args.window
+    payload = {"config": _effective(args), "level": level}
+    if system:
         from .spectra import lambda_n
-        sysm = _parse_system(obj, args.tol)
-        level = max(args.window, 1)
-        payload["level"] = level
-        payload["frequencies"] = [list(p) for p in lambda_n(sysm, level)]
+        frequencies = lambda_n(_parse_system(obj, args.tol), level)
     else:
         from .cycles import dynamically_simple_spectrum, find_extreme_cycles
         t = _parse_triple(obj, args.tol)
-        cycles = find_extreme_cycles(t, args.mmax)
-        payload["level"] = args.window
+        cycles = find_extreme_cycles(t, _mmax(args))
         payload["cycles"] = [c.to_dict() for c in cycles]
-        payload["frequencies"] = [list(p) for p in dynamically_simple_spectrum(
-            t, cycles, args.window)]
+        frequencies = dynamically_simple_spectrum(t, cycles, level)
+    payload["frequencies"] = [list(p) for p in frequencies]
     _write_json(_out_dir(args) / "spectrum_report.json", payload)
-    print(f"{len(payload['frequencies'])} frequencies at level {payload['level']}")
+    print(f"{len(frequencies)} frequencies at level {level}")
     return 0
 
 
@@ -285,8 +288,9 @@ def cmd_strichartz(args) -> int:
     obj = _load_json(args.input)
     sysm = _parse_system(obj, args.tol) if "kind" in obj else \
         self_affine(_parse_triple(obj, args.tol))
-    rep = strichartz_report(sysm, max(args.window, 1), pol=_policy(args))
-    rep["config"] = _effective(args, {"n_max": max(args.window, 1)})
+    n_max = _window(args, 1)
+    rep = strichartz_report(sysm, n_max, pol=_policy(args))
+    rep["config"] = _effective(args, n_max=n_max)
     _write_json(_out_dir(args) / "strichartz_report.json", rep)
     print(rep["verdict"])
     return 0
@@ -318,11 +322,26 @@ def cmd_quasiproduct(args) -> int:
     return 0
 
 
-def _ensemble_exit(rep, args) -> int:
-    """1 if any sample raised, else 0 or 2 by the pass threshold."""
+def _ensemble(args, name: str, triples, gen, run, summary, **kw) -> int:
+    """Run an ensemble over the family's random words and write its report
+    and samples CSV; exit 1 if any sample raised, else 0 or 2 by the pass
+    threshold."""
+    from .ensemble import EnsembleConfig
+    cfg = EnsembleConfig(triples=triples, generator=gen,
+                         word_length=args.word_length, samples=args.samples,
+                         seed=args.seed, window=args.window,
+                         policy=_policy(args), workers=args.threads, **kw)
+    rep = run(cfg)
+    rep.config["cli"] = _effective(args)
+    out = _out_dir(args)
+    _write_json(out / f"{name}_report.json", rep.to_dict())
+    _write_lines(out / f"{name}_samples.csv", rep.csv_rows())
+    print(summary(rep))
+    for note in rep.notes:
+        print(f"note: {note}")
     errors = [v.error for v in rep.verdicts if v.error]
     if errors:
-        counts = ", ".join(f"{name} {n}" for name, n in rep.error_counts.items())
+        counts = ", ".join(f"{kind} {n}" for kind, n in rep.error_counts.items())
         print(f"error: {len(errors)} of {len(rep.verdicts)} samples raised "
               f"({counts}); first: {errors[0]}", file=sys.stderr)
         return 1
@@ -330,25 +349,15 @@ def _ensemble_exit(rep, args) -> int:
 
 
 def cmd_random(args) -> int:
-    from .ensemble import EnsembleConfig, ensemble_spectrum_report
+    from .ensemble import ensemble_spectrum_report
     obj = _load_json(args.input)
     triples = _parse_family(obj, args.tol)
     gen = _parse_generator(obj.get("generator", {"kind": "lattice", "basis": 1}),
                            args, triples[0].dim)
-    cfg = EnsembleConfig(triples=triples, generator=gen,
-                         word_length=args.word_length, samples=args.samples,
-                         seed=args.seed, grid=args.grid, window=args.window,
-                         policy=_policy(args), workers=args.threads)
-    rep = ensemble_spectrum_report(cfg)
-    rep.config["cli"] = _effective(args)
-    out = _out_dir(args)
-    _write_json(out / "random_report.json", rep.to_dict())
-    _write_lines(out / "random_samples.csv", rep.csv_rows())
-    print(f"pass fraction {rep.pass_fraction:.3f} over {args.samples} words "
-          f"(min Q median {rep.min_q_median:.4f})")
-    for note in rep.notes:
-        print(f"note: {note}")
-    return _ensemble_exit(rep, args)
+    return _ensemble(args, "random", triples, gen, ensemble_spectrum_report,
+                     lambda rep: f"pass fraction {rep.pass_fraction:.3f} over "
+                                 f"{args.samples} words (min Q median "
+                                 f"{rep.min_q_median:.4f})", grid=args.grid)
 
 
 def cmd_tiling(args) -> int:
@@ -364,23 +373,14 @@ def cmd_tiling(args) -> int:
               f"(max off-lattice mass {rep.max_offlattice_mass:.3g})")
         return 0 if rep.passed else 2
     # family form: per-word ensemble
-    from .ensemble import EnsembleConfig, ensemble_tiling_report
+    from .ensemble import ensemble_tiling_report
     from .measures import _as_basis
     from .spectra import LatticeGenerator
     triples = _parse_family(obj, args.tol)
     basis = _as_basis(triples[0].dim, _numeric_array(obj.get("lattice", 1)))
-    gen = LatticeGenerator(basis)
-    cfg = EnsembleConfig(triples=triples, generator=gen,
-                         word_length=args.word_length, samples=args.samples,
-                         seed=args.seed, window=args.window,
-                         policy=_policy(args), workers=args.threads)
-    rep = ensemble_tiling_report(cfg, basis)
-    rep.config["cli"] = _effective(args)
-    out = _out_dir(args)
-    _write_json(out / "tiling_report.json", rep.to_dict())
-    _write_lines(out / "tiling_samples.csv", rep.csv_rows())
-    print(f"tiling pass fraction {rep.pass_fraction:.3f}")
-    return _ensemble_exit(rep, args)
+    return _ensemble(args, "tiling", triples, LatticeGenerator(basis),
+                     lambda cfg: ensemble_tiling_report(cfg, basis),
+                     lambda rep: f"tiling pass fraction {rep.pass_fraction:.3f}")
 
 
 def cmd_probe(args) -> int:
@@ -403,6 +403,32 @@ def cmd_probe(args) -> int:
     return 0 if rep.verdict == "consistent" else 2
 
 
+# Each subcommand's handler, its help, and the options it reads besides
+# --input, --out and --tol: its parser defines exactly these, and its
+# report's config echoes exactly these.
+_COMMANDS = {
+    "verify": (cmd_verify, "check a triple's unitarity", ()),
+    "cycles": (cmd_cycles, "enumerate extreme cycles exactly",
+               ("mmax", "spectrum_level")),
+    "spectrum": (cmd_spectrum, "emit the frequency set of level --window",
+                 ("window", "mmax")),
+    "check": (cmd_check, "Q-sweep a system at generator level --window",
+              ("depth", "grid", "window", "mmax")),
+    "strichartz": (cmd_strichartz, "sigma_min / tail-modulus report for "
+                   "levels up to n_max = --window", ("depth", "window")),
+    "quasiproduct": (cmd_quasiproduct, "assemble and verify a block triple", ()),
+    "random": (cmd_random, "ensemble Q-sweep of random words at generator "
+               "level --window", ("depth", "grid", "window", "mmax", "samples",
+                                  "word_length", "seed", "threads",
+                                  "pass_threshold")),
+    "tiling": (cmd_tiling, "Fourier-side lattice tiling check up to lattice "
+               "radius --window", ("depth", "window", "samples", "word_length",
+                                   "seed", "threads", "pass_threshold")),
+    "probe": (cmd_probe, "completeness probe of one word at generator level "
+              "--window", ("depth", "window", "mmax")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="speclab",
@@ -411,70 +437,44 @@ def build_parser() -> argparse.ArgumentParser:
                     "and stress-test random convolutions.")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-    defaults = dict(
-        input=("--input", dict(required=True, help="input JSON file")),
-        out=("--out", dict(default="speclab_reports",
-                           help="output directory (all files go here)")),
-        depth=("--depth", dict(type=int, default=None,
-                               help="fixed product depth (default: auto)")),
-        tol=("--tol", dict(type=float, default=1e-9,
-                           help="unitarity tolerance")),
-        grid=("--grid", dict(type=int, default=32,
-                             help="grid points per axis in [0,1)^d")),
-        window=("--window", dict(type=int, default=8,
-                                 help="spectrum window: level, lattice radius, "
-                                      "or n_max depending on the command")),
-        mmax=("--mmax", dict(type=int, default=6,
-                             help="maximum cycle period to search")),
-        samples=("--samples", dict(type=int, default=200,
-                                   help="ensemble sample count")),
-        word_length=("--word-length", dict(type=int, default=20,
-                                           dest="word_length",
-                                           help="random word length")),
-        seed=("--seed", dict(type=int, default=0, help="RNG seed")),
-        threads=("--threads", dict(
-            type=int,
-            default=int(os.environ.get("SPECLAB_THREADS", "1")),
-            help="worker cap (SPECLAB_THREADS as fallback); results do not "
-                 "depend on it")),
+    options = dict(
+        input=dict(required=True, help="input JSON file"),
+        out=dict(default="speclab_reports",
+                 help="output directory (all files go here)"),
+        tol=dict(type=float, default=1e-9, help="unitarity tolerance"),
+        depth=dict(type=int, help="fixed product depth (default: auto)"),
+        grid=dict(type=int, default=32, help="grid points per axis in [0,1)^d"),
+        window=dict(type=int, default=8,
+                    help="level, lattice radius or n_max: see above"),
+        mmax=dict(type=int, default=6, help="maximum cycle period to search"),
+        samples=dict(type=int, default=200, help="ensemble sample count"),
+        word_length=dict(type=int, default=20, help="random word length"),
+        seed=dict(type=int, default=0, help="RNG seed"),
+        # argparse parses a string default only where the option exists
+        threads=dict(type=int, default=os.environ.get("SPECLAB_THREADS", "1"),
+                     help="worker cap (SPECLAB_THREADS as fallback); results "
+                          "do not depend on it"),
+        spectrum_level=dict(type=int, help="also emit the generated spectrum "
+                                           "at this level"),
+        pass_threshold=dict(type=float, default=0.9,
+                            help="required pass fraction of the ensemble"),
     )
-
-    def add(name, fn, help_, extra=()):
-        sp = sub.add_parser(name, help=help_)
-        for flag, kw in defaults.values():
-            sp.add_argument(flag, **kw)
-        for flag, kw in extra:
-            sp.add_argument(flag, **kw)
-        sp.set_defaults(func=fn)
-
-    add("verify", cmd_verify, "check a triple's unitarity")
-    add("cycles", cmd_cycles, "enumerate extreme cycles exactly",
-        extra=[("--spectrum-level", dict(type=int, default=None,
-                                         dest="spectrum_level",
-                                         help="also emit the generated "
-                                              "spectrum at this level"))])
-    add("spectrum", cmd_spectrum, "emit a level frequency set")
-    add("check", cmd_check, "Q-sweep a system against a generator")
-    add("strichartz", cmd_strichartz,
-        "per-level sigma_min / tail-modulus report (n_max = --window)")
-    add("quasiproduct", cmd_quasiproduct, "assemble and verify a block triple")
-    add("random", cmd_random, "ensemble spectrum check over random words",
-        extra=[("--pass-threshold", dict(type=float, default=0.9,
-                                         dest="pass_threshold",
-                                         help="required pass fraction"))])
-    add("tiling", cmd_tiling, "Fourier-side lattice tiling check",
-        extra=[("--pass-threshold", dict(type=float, default=0.9,
-                                         dest="pass_threshold",
-                                         help="required pass fraction for "
-                                              "family form"))])
-    add("probe", cmd_probe, "targeted completeness probe for one word")
+    for name, (_, help_, reads) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_, description=help_)
+        for dest in ("input", "out", "tol", *reads):
+            sp.add_argument("--" + dest.replace("_", "-"), **options[dest])
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # an option this subcommand does not read
+        print(f"speclab {args.command}: error: unrecognized arguments: "
+              f"{' '.join(unknown)} (see speclab {args.command} --help)",
+              file=sys.stderr)
+        return 1
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

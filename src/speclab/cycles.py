@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ExactCheckFailed, MismatchedRL, NonIntegerElement
+from .errors import (DimensionMismatch, ExactCheckFailed, MismatchedRL,
+                     NonIntegerElement)
 from .linalg import IntMatrix, as_int_vector, inverse, mat_pow
 from .triples import (HadamardTriple, cycle_containment_radius,
                       mask_is_extreme_at, tau_exact)
@@ -163,7 +164,7 @@ def dynamically_simple_spectrum(t: HadamardTriple,
     means a non-extreme cycle was supplied.
     """
     if n < 0:
-        raise ValueError("level must be >= 0")
+        raise DimensionMismatch(f"the level must be >= 0, got {n}")
     seeds = cycle_points(cycles)
     if not seeds:
         raise ValueError("need at least one cycle (the trivial {0} always exists)")

@@ -17,13 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotCompleteResidue
+from .errors import NotCompleteResidue
 from .linalg import is_complete_residue_set
 from .measures import (DEFAULT_POLICY, TruncationPolicy, _as_basis,
                        _as_points, random_word)
-from .quasiproduct import lattice_tiling_check
+from .quasiproduct import _require_tiling_window, lattice_tiling_check
 from .spectra import (SpectrumGenerator, _grid_points, _require_dim,
-                      check_spectrum, qp_eval, window_notes)
+                      _require_window, check_spectrum, qp_eval, window_notes)
 from .triples import HadamardTriple
 
 
@@ -60,6 +60,7 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.triples:
             _require_dim(self.triples[0].dim, self.generator)
+        _require_window(self.window)
 
     def echo(self) -> dict:
         return {
@@ -195,8 +196,7 @@ def ensemble_tiling_report(cfg: EnsembleConfig, basis,
     off-lattice mass instead of Q.
     """
     basis = _as_basis(cfg.generator.dim, basis)
-    if cfg.window < 1:
-        raise DimensionMismatch("the tiling window must list at least one point")
+    _require_tiling_window(cfg.window)
     for t in cfg.triples:
         if not is_complete_residue_set(t.R, t.B.vectors):
             raise NotCompleteResidue(

@@ -490,16 +490,20 @@ def _min_pairwise_gap(pts: np.ndarray) -> float:
     if pts.shape[1] == 1:
         v = np.sort(pts[:, 0])
         return float(np.diff(v).min())
+    # sweep the points in order of their first coordinate, one offset at a
+    # time; once every pair at an offset is a first-coordinate gap >= best
+    # apart, so is every pair further on
+    p = pts[np.argsort(pts[:, 0])]
     best = math.inf
-    for i in range(len(pts)):
-        d = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
-        if len(d):
-            best = min(best, float(d.min()))
+    for s in range(1, len(p)):
+        if (p[s:, 0] - p[:-s, 0]).min() >= best:
+            break
+        best = min(best, float(np.linalg.norm(p[s:] - p[:-s], axis=1).min()))
     return best
 
 
-def _close_pairs_sorted(v: np.ndarray, tol: float) -> int:
-    """#pairs i < k of ascending v with v[k] - v[i] < tol."""
+def _sweep_ends(v: np.ndarray, tol: float) -> np.ndarray:
+    """For ascending v, the first k > i with v[k] - v[i] >= tol, for each i."""
     n = len(v)
     i = np.arange(n)
     hi = np.maximum(np.searchsorted(v, v + tol), i + 1)
@@ -509,7 +513,12 @@ def _close_pairs_sorted(v: np.ndarray, tol: float) -> int:
         hi += up
     while (down := (hi > i + 1) & (v[hi - 1] - v >= tol)).any():
         hi -= down
-    return int((hi - i - 1).sum())
+    return hi
+
+
+def _close_pairs_sorted(v: np.ndarray, tol: float) -> int:
+    """#pairs i < k of ascending v with v[k] - v[i] < tol."""
+    return int((_sweep_ends(v, tol) - np.arange(len(v)) - 1).sum())
 
 
 def _near_pairs(pts: np.ndarray, prefixes: np.ndarray,
@@ -523,8 +532,15 @@ def _near_pairs(pts: np.ndarray, prefixes: np.ndarray,
         same = sum(_close_pairs_sorted(np.sort(v[prefixes == p]), tol)
                    for p in groups)
         return _close_pairs_sorted(np.sort(v), tol) - same, total_cross
+    # a pair whose first coordinates lie tol or more apart has a norm of at
+    # least tol (sqrt(x * x) rounds back to |x|), so only pairs inside each
+    # point's first-coordinate window are measured, one offset at a time
+    order = np.argsort(pts[:, 0])
+    p, pre = pts[order], prefixes[order]
+    reach = _sweep_ends(p[:, 0], tol) - np.arange(n)
     hits = 0
-    for i in range(n):
-        d = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
-        hits += int(((d < tol) & (prefixes[i + 1:] != prefixes[i])).sum())
+    for s in range(1, int(reach.max())):
+        i = np.flatnonzero(reach > s)
+        d = np.linalg.norm(p[i + s] - p[i], axis=1)
+        hits += int(((d < tol) & (pre[i + s] != pre[i])).sum())
     return hits, total_cross

@@ -278,6 +278,12 @@ class TilingReport:
                         "Lebesgue); set tiling is only consistent"}
 
 
+def _require_tiling_window(window: int) -> None:
+    """Raise DimensionMismatch unless the window lists a nonzero lattice point."""
+    if window < 1:
+        raise DimensionMismatch("the tiling window must list at least one point")
+
+
 def lattice_tiling_check(sys: ConvolutionSystem, basis, window: int = 64,
                          pol: TruncationPolicy = DEFAULT_POLICY,
                          tol: float = 1e-7) -> TilingReport:
@@ -288,9 +294,9 @@ def lattice_tiling_check(sys: ConvolutionSystem, basis, window: int = 64,
     for every 0 < ||m||_inf <= window.
     """
     from .spectra import LatticeGenerator
+    _require_tiling_window(window)
     lattice = LatticeGenerator(_as_basis(sys.dim, basis)).level(window)
-    pts = _as_points(sys.dim, np.delete(lattice, len(lattice) // 2, axis=0),
-                     "the tiling window")  # the middle row is 0
+    pts = np.delete(lattice, len(lattice) // 2, axis=0)  # the middle row is 0
     vals, bounds = ft_eval_many(sys, pts, pol)
     mags = np.abs(vals)
     ok = mags <= tol + bounds

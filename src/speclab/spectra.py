@@ -65,6 +65,12 @@ def _require_dim(dim: int, gen: SpectrumGenerator) -> None:
                                 f"{gen.dim}-D but the system is {dim}-D")
 
 
+def _require_window(window: int) -> None:
+    """Raise DimensionMismatch for a negative window, which lists no level."""
+    if window < 0:
+        raise DimensionMismatch(f"the window must be >= 0, got {window}")
+
+
 class LevelSetsGenerator(SpectrumGenerator):
     """Lambda_n = L_1 + R_1^T L_2 + ... for the system's own triples."""
 
@@ -304,6 +310,7 @@ def _q_grid(sys: ConvolutionSystem, gen: SpectrumGenerator, grid: np.ndarray,
             window: int, pol: TruncationPolicy) -> tuple[np.ndarray, np.ndarray, int]:
     """Q over an (m, d) grid in one batched transform call."""
     _require_dim(sys.dim, gen)
+    _require_window(window)
     lam = gen.level(window)
     pts = grid[:, None, :] + lam[None, :, :]
     vals, bounds = ft_eval_many(sys, pts.reshape(-1, sys.dim), pol)
@@ -417,6 +424,7 @@ def orthogonality_check(sys: ConvolutionSystem, gen: SpectrumGenerator,
     sample of pairs.
     """
     _require_dim(sys.dim, gen)
+    _require_window(window)
     lam = gen.level(window)
     n = len(lam)
     if n < 2:

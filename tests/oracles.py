@@ -303,3 +303,27 @@ def near_pairs_1d_loop(values, prefixes, tol: float) -> int:
                 hits += 1
             k += 1
     return hits
+
+
+def near_pairs_loop(pts, prefixes, tol: float) -> int:
+    """Pairs of points in R^d (d >= 2) strictly within tol, in the Euclidean
+    norm, whose prefixes differ: every pair, one point at a time.
+
+    The loop that the first-coordinate sweep replaced, kept as its reference.
+    """
+    pts, prefixes = np.asarray(pts), np.asarray(prefixes)
+    hits = 0
+    for i in range(len(pts)):
+        d = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
+        hits += int(((d < tol) & (prefixes[i + 1:] != prefixes[i])).sum())
+    return hits
+
+
+def min_pairwise_gap_loop(pts) -> float:
+    """Least Euclidean distance over every pair of points: the loop that the
+    first-coordinate sweep replaced, kept as its reference."""
+    pts = np.asarray(pts)
+    best = math.inf
+    for i in range(len(pts) - 1):
+        best = min(best, float(np.linalg.norm(pts[i + 1:] - pts[i], axis=1).min()))
+    return best

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from speclab import general_product, triple
-from speclab.cli import _parse_system, main
+from speclab.cli import _COMMANDS, _parse_system, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -156,14 +158,21 @@ def test_usage_errors_exit_1(tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
     cfg = _write(tmp_path, "t.json", TRIPLE_OK)
-    base = [sys.executable, "-m", "speclab.cli", "verify", "--input", cfg,
-            "--out", str(tmp_path / "o")]
-    for extra, code in ((["--bogus"], 1), (["--grid", "notanint"], 1),
-                        (["--help"], 0)):
-        proc = subprocess.run(base + extra, env=dict(os.environ, PYTHONPATH=path),
-                              capture_output=True, text=True, timeout=120)
+    # --grid is an option of check, so its bad value is a wrong type, not an
+    # unknown flag
+    for extra, code, message in (
+            (["verify", "--bogus"], 1, "unrecognized arguments: --bogus"),
+            (["check", "--grid", "notanint"], 1,
+             "argument --grid: invalid int value"),
+            (["verify", "--help"], 0, "")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "speclab.cli", *extra, "--input", cfg,
+             "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+            text=True, timeout=120)
         assert proc.returncode == code, (extra, proc.stderr)
         assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
 
 
 def test_errored_ensemble_samples_exit_1(tmp_path, capsys, monkeypatch):
@@ -381,12 +390,15 @@ def test_reports_stay_inside_out_dir(tmp_path, monkeypatch):
 
 def test_threads_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("SPECLAB_THREADS", "3")
-    from speclab.cli import build_parser
-    args = build_parser().parse_args(["verify", "--input", "x.json"])
+    args = build_parser().parse_args(["random", "--input", "x.json"])
     assert args.threads == 3
-    args = build_parser().parse_args(["verify", "--input", "x.json",
+    args = build_parser().parse_args(["random", "--input", "x.json",
                                       "--threads", "2"])
     assert args.threads == 2
+    # only the subcommands with a --threads option read the variable
+    monkeypatch.setenv("SPECLAB_THREADS", "notanint")
+    assert not hasattr(build_parser().parse_args(["verify", "--input", "x.json"]),
+                       "threads")
 
 
 def test_rerun_is_bit_identical(tmp_path):
@@ -403,13 +415,120 @@ def test_rerun_is_bit_identical(tmp_path):
 
 
 def test_empty_grid_and_window_exit_1(tmp_path, capsys):
-    # an empty point set is refused with one line, not a numpy traceback
-    runs = (("check", {"system": QC_SYSTEM, "generator": {"kind": "lattice"}},
+    # an empty point set or a negative window is refused with one line, not
+    # a numpy traceback, before any report is written or sample runs
+    lattice, cycle = {"kind": "lattice"}, {"kind": "cycle_spectrum",
+                                           "triple": QC_TRIPLE}
+    family = {"triples": FAMILY, "word": [0, 1], "probes": [0.5]}
+    negative = "the window must be >= 0, got -1"
+    tiling = "the tiling window must list at least one point"
+    runs = (("check", {"system": QC_SYSTEM, "generator": lattice},
              ["--grid", "0"], "grid must list at least one point"),
-            ("tiling", QC_SYSTEM, ["--window", "0"],
-             "the tiling window must list at least one point"))
-    for command, payload, extra, message in runs:
+            ("tiling", QC_SYSTEM, ["--window", "0"], tiling),
+            ("check", {"system": QC_SYSTEM, "generator": lattice},
+             ["--window", "-1"], negative),
+            ("check", {"system": QC_SYSTEM, "generator": cycle},
+             ["--window", "-1"], negative),
+            ("tiling", QC_SYSTEM, ["--window", "-1"], tiling),
+            ("tiling", {"triples": FAMILY}, ["--window", "-1"], negative),
+            ("tiling", {"triples": FAMILY}, ["--window", "0"], tiling),
+            ("probe", family, ["--window", "-1"], negative),
+            ("random", {"triples": FAMILY}, ["--window", "-1"], negative),
+            ("spectrum", QC_TRIPLE, ["--window", "-1"],
+             "the level must be >= 0, got -1"),
+            ("spectrum", QC_SYSTEM, ["--window", "0"],
+             "--window must be >= 1, got 0"),
+            ("strichartz", QC_SYSTEM, ["--window", "0"],
+             "--window must be >= 1, got 0"),
+            ("strichartz", QC_TRIPLE, ["--window", "-1"],
+             "--window must be >= 1, got -1"),
+            ("spectrum", QC_TRIPLE, ["--mmax", "0"], "--mmax must be >= 1"),
+            ("cycles", QC_TRIPLE, ["--spectrum-level", "-1"],
+             "the level must be >= 0, got -1"))
+    for k, (command, payload, extra, message) in enumerate(runs):
         cfg = _write(tmp_path, f"{command}.json", payload)
-        assert main([command, "--input", cfg, "--out", str(tmp_path / "o"),
-                     *extra]) == 1
-        assert message in capsys.readouterr().err
+        out = tmp_path / f"o{k}"
+        assert main([command, "--input", cfg, "--out", str(out), *extra]) == 1
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1, (command, extra, err)
+        assert not out.exists()
+
+
+COMMON = {"input", "out", "tol"}
+CYCLE_GEN = {"kind": "cycle_spectrum", "triple": FAMILY[0]}
+SMALL = ["--samples", "2", "--word-length", "3", "--grid", "4", "--window",
+         "2", "--pass-threshold", "0"]
+# inputs that take every branch that reads options: system, triple and
+# family forms, lattice and cycle_spectrum generators
+BRANCHES = {
+    "verify": [(TRIPLE_OK, [])],
+    "cycles": [(QC_TRIPLE, []), (QC_TRIPLE, ["--spectrum-level", "2"])],
+    "spectrum": [(QC_SYSTEM, ["--window", "2"]), (QC_TRIPLE, ["--window", "2"])],
+    "check": [({"system": QC_SYSTEM, "generator": {"kind": "lattice"}},
+               ["--grid", "4", "--window", "2"]),
+              ({"system": QC_SYSTEM, "generator": dict(CYCLE_GEN, triple=QC_TRIPLE)},
+               ["--grid", "4", "--window", "2"])],
+    "strichartz": [(QC_SYSTEM, ["--window", "2"]), (QC_TRIPLE, ["--window", "2"])],
+    "quasiproduct": [({"R1": 2, "a": [0, 1], "L1": [0, 1], "R": 2,
+                       "B_family": [[0, 1], [0, 3]], "L": [0, 1], "C": [[1]]},
+                      [])],
+    "random": [({"triples": FAMILY}, SMALL),
+               ({"triples": FAMILY, "generator": CYCLE_GEN}, SMALL)],
+    "tiling": [(dict(QC_SYSTEM, lattice=1), ["--window", "2"]),
+               ({"system": QC_SYSTEM, "lattice": 1}, ["--window", "2"]),
+               ({"triples": FAMILY, "lattice": 1},
+                [a for a in SMALL if a not in ("--grid", "4")])],
+    "probe": [({"triples": FAMILY, "word": [0, 1], "probes": [0.5]},
+               ["--window", "2"]),
+              ({"triples": FAMILY, "word": [0, 1], "probes": [0.5],
+                "generator": CYCLE_GEN}, ["--window", "2"])],
+}
+
+
+def _cli_config(report: dict) -> dict:
+    """The config block a report echoes its command line in."""
+    if "params" in report:
+        return report["params"]["cli"]
+    return report["config"].get("cli", report["config"])
+
+
+def test_each_subcommand_reads_exactly_its_declared_options(tmp_path, capsys):
+    assert set(BRANCHES) == set(_COMMANDS)
+    shared = {o for _, _, reads in _COMMANDS.values() for o in reads}
+    for command, runs in BRANCHES.items():
+        declared = COMMON | set(_COMMANDS[command][2])
+        read = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                if not name.startswith("_"):
+                    read.add(name)
+                return object.__getattribute__(self, name)
+
+        for k, (payload, extra) in enumerate(runs):
+            cfg = _write(tmp_path, f"{command}{k}.json", payload)
+            out = tmp_path / f"{command}{k}"
+            args = build_parser().parse_args(
+                [command, "--input", cfg, "--out", str(out), *extra],
+                namespace=Recording())
+            read.clear()
+            assert _COMMANDS[command][0](args) in (0, 2), (command, payload)
+            report = json.loads(next(out.glob("*_report.json")).read_text())
+            extras = {"n_max"} if command == "strichartz" else set()
+            assert set(_cli_config(report)) == (
+                declared | {"command", "version"} | extras), command
+        assert read == declared, command
+        # --help lists exactly the declared options
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        listed = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+        assert listed == {o.replace("_", "-") for o in declared} | {"help"}
+        # and any other shared option is a one-line usage error
+        undeclared = sorted(shared - declared)[0]
+        cfg = _write(tmp_path, "any.json", runs[0][0])
+        assert main([command, "--input", cfg, "--out", str(tmp_path / "x"),
+                     "--" + undeclared.replace("_", "-"), "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unrecognized arguments" in err, err
+        assert not (tmp_path / "x").exists()

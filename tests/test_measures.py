@@ -203,3 +203,29 @@ def test_near_pairs_1d_matches_loop():
         hits, cross = _near_pairs(vals[:, None], prefixes, tol)
         assert hits == oracles.near_pairs_1d_loop(vals, prefixes, tol)
         assert cross == int((prefixes[:, None] != prefixes[None, :]).sum()) // 2
+
+
+def test_near_pairs_and_gap_sweep_match_loop_in_2d_and_3d():
+    from speclab.measures import _min_pairwise_gap, _near_pairs
+    rng = np.random.default_rng(12)
+    for dim, size, groups, step, tol in ((2, 300, 4, 0.1, 0.3),
+                                         (2, 400, 7, 0.1, 0.25),
+                                         (3, 250, 3, 0.1, 0.3),
+                                         (3, 200, 5, 1e-3, 1e-12),
+                                         (2, 64, 1, 0.5, 1.0)):
+        # grid points give ties, repeated points and first-coordinate gaps
+        # whose difference rounds across tol while v + tol does not, such as
+        # 0.1 * 3 against 0.3; few levels elsewhere make such gaps the norm
+        pts = rng.integers(0, 6, size=(size, dim)) * step
+        pts[:, 0] = rng.integers(0, size // 5, size=size) * step
+        prefixes = rng.integers(0, groups, size=size)
+        hits, cross = _near_pairs(pts, prefixes, tol)
+        assert hits == oracles.near_pairs_loop(pts, prefixes, tol)
+        assert cross == int((prefixes[:, None] != prefixes[None, :]).sum()) // 2
+        distinct = np.unique(pts, axis=0)
+        # a narrow first axis puts the closest pair many places apart in
+        # the sweep order
+        narrow = rng.uniform(0, 1, size=(size, dim)) * ([1] + [50] * (dim - 1))
+        for sample in (pts, distinct, narrow,
+                       distinct + rng.normal(0, 1e-3, distinct.shape)):
+            assert _min_pairwise_gap(sample) == oracles.min_pairwise_gap_loop(sample)

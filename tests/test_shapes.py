@@ -12,6 +12,7 @@ import pytest
 from speclab import (CycleSpectrumGenerator, DimensionMismatch,
                      EnsembleConfig, ExplicitGenerator, LatticeGenerator,
                      check_spectrum, counterexample_probe,
+                     dynamically_simple_spectrum,
                      ensemble_spectrum_report, ensemble_tiling_report,
                      find_extreme_cycles, ft_eval, ft_eval_many,
                      ft_partial_eval, ft_tail_eval, lattice_tiling_check,
@@ -98,6 +99,26 @@ def test_wrong_widths_raise_dimension_mismatch(
         "ensemble_tiling_report, window 0":
             lambda: ensemble_tiling_report(
                 EnsembleConfig(two_digit_family, lat1, samples=2, window=0), 1),
+        # a negative window lists no level, whatever the generator
+        "check_spectrum, lattice window -1":
+            lambda: check_spectrum(qc, lat1, 4, window=-1),
+        "check_spectrum, cycle_spectrum window -1":
+            lambda: check_spectrum(qc, cycle_gen_1d, 4, window=-1),
+        "qp_eval, window -1": lambda: qp_eval(qc, lat1, 0.3, window=-1),
+        "make_q_evaluator, window -1":
+            lambda: make_q_evaluator(qc, lat1, window=-1)([0.3]),
+        "orthogonality_check, window -1":
+            lambda: orthogonality_check(qc, cycle_gen_1d, -1),
+        "counterexample_probe, window -1":
+            lambda: counterexample_probe(two_digit_family, [0, 1], lat1, [0.5],
+                                         window=-1),
+        "lattice_tiling_check, window -1":
+            lambda: lattice_tiling_check(qc, 1, window=-1),
+        "dynamically_simple_spectrum, level -1":
+            lambda: dynamically_simple_spectrum(
+                quarter_cantor, find_extreme_cycles(quarter_cantor, 4), -1),
+        "EnsembleConfig, window -1":
+            lambda: EnsembleConfig(two_digit_family, lat1, samples=2, window=-1),
     }
     for name, call in cases.items():
         with pytest.raises(DimensionMismatch):

@@ -71,3 +71,34 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name} {name}" for name in sorted(_imported(tree) - used)]
     assert found == [], f"unused imports in src/speclab: {found}"
+
+
+def test_cli_handlers_read_only_declared_options():
+    # every args.<name> that cmd_<c> reads, itself or through the cli
+    # functions it calls, is an option that the parser of <c> defines; a
+    # read of an undefined option would raise AttributeError at run time
+    from speclab.cli import _COMMANDS
+    tree = ast.parse((SRC / "cli.py").read_text())
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+    def reads(name: str, seen: set) -> set[str]:
+        if name in seen:
+            return set()
+        seen.add(name)
+        found = set()
+        for node in ast.walk(funcs[name]):
+            if isinstance(node, ast.Attribute) and _dotted(node.value) == "args":
+                found.add(node.attr)
+            elif isinstance(node, ast.Name) and node.id in funcs:
+                found |= reads(node.id, seen)
+        return found
+
+    handlers = sorted(name for name in funcs if name.startswith("cmd_"))
+    assert handlers == sorted(f"cmd_{c}" for c in _COMMANDS)
+    undeclared = {}
+    for command, (handler, _, options) in _COMMANDS.items():
+        assert handler.__name__ == f"cmd_{command}"
+        extra = reads(handler.__name__, set()) - {"input", "out", "tol", *options}
+        if extra:
+            undeclared[command] = sorted(extra)
+    assert undeclared == {}, f"handlers read options they do not define: {undeclared}"
