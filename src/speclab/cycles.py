@@ -3,7 +3,8 @@
 A cycle is found from its defining word: the fixed point of the composed
 dual maps tau_{l_1}...tau_{l_m} is an exact rational (the system
 ((R^T)^m - I) x = sum_j (R^T)^{m-j} l_j is integer and nonsingular for
-expansive R, and is solved by `linalg.inverse`, one adjugate per period),
+expansive R, and is solved by `linalg.inverse`, whose adjugate and
+determinant come from one integer Faddeev-LeVerrier pass per period),
 and extremity |m_B| = 1 is decided by integrality of <b, x>.
 Words are enumerated as primitive necklaces so each cycle appears once.
 """

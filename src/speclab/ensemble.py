@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotCompleteResidue
+from .errors import DimensionMismatch, NotCompleteResidue
 from .linalg import is_complete_residue_set
 from .measures import (DEFAULT_POLICY, TruncationPolicy, _as_basis,
                        _as_points, random_word)
@@ -61,6 +61,10 @@ class EnsembleConfig:
         if self.triples:
             _require_dim(self.triples[0].dim, self.generator)
         _require_window(self.window)
+        if min(self.samples, self.word_length) < 1:
+            raise DimensionMismatch(
+                f"samples and word_length must be >= 1, got {self.samples} "
+                f"and {self.word_length}")
 
     def echo(self) -> dict:
         return {

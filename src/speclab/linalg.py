@@ -4,9 +4,10 @@ Everything that feeds a certificate (determinants, expansivity, residue
 classes, cycle fixed points) runs over Python integers and
 ``fractions.Fraction``; floating point only appears in the norm series
 behind ``contraction_factor``, which is an estimate rather than a
-certificate. Every inverse and every exact solve reads ``inverse``'s exact
-adj(M) / det(M), or its float view; numpy loads only there and in the norm
-series, not on import.
+certificate. One integer Faddeev-LeVerrier pass gives the characteristic
+polynomial, det(M) and adj(M). Every inverse and every exact solve reads
+``inverse``'s exact adj(M) / det(M), or its float view; numpy loads only
+there and in the norm series, not on import.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .errors import ExactCheckFailed, NotContractive, SingularMatrix
 
 IntVector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
-RatMatrix = tuple[tuple[Fraction, ...], ...]
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,9 +44,6 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows)))
-
-    def as_fractions(self) -> RatMatrix:
-        return tuple(tuple(Fraction(x) for x in r) for r in self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         a, b = self.rows, other.rows
@@ -124,69 +121,48 @@ def mat_pow(m: IntMatrix, k: int) -> IntMatrix:
     return out
 
 
-def det(m) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    m = as_int_matrix(m)
-    a = [list(r) for r in m.rows]
+def _faddeev_leverrier(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
+    """det(xI - M) as (c_0, ..., c_d), c_d = 1, and adj(M): one exact pass.
+
+    M_1 = I, c_{d-k} = -tr(M M_k) / k and M_{k+1} = M M_k + c_{d-k} I, so
+    adj(M) = (-1)^(d-1) M_d and det(M) = (-1)^d c_0. Each division by k is
+    exact for an integer M.
+    """
     d = m.dim
-    sign = 1
-    prev = 1
-    for k in range(d - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, d):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, d):
-            for j in range(k + 1, d):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[d - 1][d - 1]
+    coeffs, mk, prod = [1], identity(d), m  # prod = M M_k
+    for k in range(1, d + 1):
+        c, rem = divmod(-sum(prod.rows[i][i] for i in range(d)), k)
+        if rem:
+            raise ExactCheckFailed(f"characteristic polynomial coefficient "
+                                   f"{c + rem / k} is not integral")
+        coeffs.append(c)
+        if k < d:
+            mk = IntMatrix(tuple(tuple(x + c * (i == j) for j, x in enumerate(r))
+                                 for i, r in enumerate(prod.rows)))
+            prod = m @ mk
+    sign = (-1) ** (d - 1)
+    return (tuple(reversed(coeffs)),
+            IntMatrix(tuple(tuple(sign * x for x in r) for r in mk.rows)))
 
 
 def charpoly(m: IntMatrix) -> tuple[int, ...]:
     """Coefficients (c_0, ..., c_d) of det(xI - M), c_d = 1, exact."""
-    d = m.dim
-    a = m.as_fractions()
-    # Faddeev-LeVerrier over rationals; result is integral.
-    coeffs = [Fraction(1)] + [Fraction(0)] * d  # c_d first, filled backwards
-    mk = tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d))
-    ident = tuple(tuple(Fraction(1 if i == j else 0) for j in range(d))
-                  for i in range(d))
+    return _faddeev_leverrier(m)[0]
 
-    def matmul(x, y):
-        return tuple(tuple(sum(x[i][k] * y[k][j] for k in range(d))
-                           for j in range(d)) for i in range(d))
 
-    def madd(x, y, s):
-        return tuple(tuple(x[i][j] + s * y[i][j] for j in range(d))
-                     for i in range(d))
-
-    cur = ident
-    c = Fraction(1)
-    for k in range(1, d + 1):
-        mk = matmul(a, cur)
-        tr = sum(mk[i][i] for i in range(d))
-        c = -tr / k
-        coeffs[k] = c
-        cur = madd(mk, ident, c)
-    # coeffs[k] multiplies x^(d-k); reorder to ascending powers
-    out = [coeffs[d - i] for i in range(d + 1)]
-    if any(x.denominator != 1 for x in out):
-        raise ExactCheckFailed(f"characteristic polynomial {out} is not integral")
-    return tuple(int(x) for x in out)
+def det(m) -> int:
+    """Exact determinant, (-1)^d c_0 of the characteristic polynomial."""
+    m = as_int_matrix(m)
+    return (-1) ** m.dim * charpoly(m)[0]
 
 
 def _roots_strictly_inside_unit_disk(coeffs: Sequence[int]) -> bool:
     """Exact Schur-Cohn test: all roots of sum c_i z^i in the open unit disk.
 
     Ties (|c_0| == |c_n| at any stage) count as failure, so roots on the
-    circle are rejected.
+    circle are rejected. Every step stays in the integers.
     """
-    c = [Fraction(x) for x in coeffs]
+    c = list(coeffs)
     while len(c) > 1 and c[-1] == 0:
         c.pop()
     while len(c) > 1:
@@ -213,21 +189,6 @@ def is_expansive(m) -> bool:
     return _roots_strictly_inside_unit_disk(reversed_p)
 
 
-def adjugate(m: IntMatrix) -> IntMatrix:
-    """Exact adjugate: M adj(M) = det(M) I, so M^{-1} = adj(M) / det(M)."""
-    d = m.dim
-    if d == 1:
-        return IntMatrix(((1,),))
-
-    def cofactor(i: int, j: int) -> int:
-        minor = tuple(tuple(x for c, x in enumerate(row) if c != j)
-                      for r, row in enumerate(m.rows) if r != i)
-        return (-1) ** (i + j) * det(IntMatrix(minor))
-
-    return IntMatrix(tuple(tuple(cofactor(j, i) for j in range(d))
-                           for i in range(d)))
-
-
 @functools.lru_cache(maxsize=256)
 def inverse(m: IntMatrix) -> tuple[IntMatrix, int]:
     """M^{-1} = adj(M) / det(M), exactly: (adj M, det M), cached per M.
@@ -235,10 +196,10 @@ def inverse(m: IntMatrix) -> tuple[IntMatrix, int]:
     The one place an inverse is formed; raises SingularMatrix when
     det M = 0.
     """
-    dt = det(m)
-    if dt == 0:
+    p, adj = _faddeev_leverrier(m)
+    if p[0] == 0:
         raise SingularMatrix("matrix is singular")
-    return adjugate(m), dt
+    return adj, (-1) ** m.dim * p[0]
 
 
 def inverse_float(m: IntMatrix) -> np.ndarray:

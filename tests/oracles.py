@@ -232,6 +232,43 @@ def cumulative_inverses(rs) -> list[list[list[Fraction]]]:
     return out
 
 
+def bareiss_det(m) -> int:
+    """Exact determinant of a square integer matrix (nested lists) by
+    fraction-free Bareiss elimination."""
+    a = [list(r) for r in m]
+    d = len(a)
+    sign, prev = 1, 1
+    for k in range(d - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, d):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, d):
+            for j in range(k + 1, d):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[d - 1][d - 1]
+
+
+def cofactor_adjugate(m) -> list[list[int]]:
+    """adj(M)_ij = (-1)^(i+j) det(M with row j and column i removed), the
+    minors by `bareiss_det`; adj of a 1x1 matrix is [[1]]."""
+    d = len(m)
+    if d == 1:
+        return [[1]]
+
+    def minor(i, j):
+        return [[x for c, x in enumerate(row) if c != j]
+                for r, row in enumerate(m) if r != i]
+
+    return [[(-1) ** (i + j) * bareiss_det(minor(j, i)) for j in range(d)]
+            for i in range(d)]
+
+
 def shear_reference(r1, r, c, a, letters) -> np.ndarray:
     """Quasi-product shear g = sum_k D_k a_{letters[k-1]} as the float
     double sum D_k = -sum_{j<k} R^{-(j+1)} C R1^{-(k-j)}, from LAPACK

@@ -415,8 +415,9 @@ def test_rerun_is_bit_identical(tmp_path):
 
 
 def test_empty_grid_and_window_exit_1(tmp_path, capsys):
-    # an empty point set or a negative window is refused with one line, not
-    # a numpy traceback, before any report is written or sample runs
+    # an empty point set, a negative window or an empty ensemble is refused
+    # with one line, not a traceback, before any report is written or sample
+    # runs
     lattice, cycle = {"kind": "lattice"}, {"kind": "cycle_spectrum",
                                            "triple": QC_TRIPLE}
     family = {"triples": FAMILY, "word": [0, 1], "probes": [0.5]}
@@ -444,7 +445,14 @@ def test_empty_grid_and_window_exit_1(tmp_path, capsys):
              "--window must be >= 1, got -1"),
             ("spectrum", QC_TRIPLE, ["--mmax", "0"], "--mmax must be >= 1"),
             ("cycles", QC_TRIPLE, ["--spectrum-level", "-1"],
-             "the level must be >= 0, got -1"))
+             "the level must be >= 0, got -1"),
+            # an empty ensemble or an empty word runs no sample
+            *((command, {"triples": FAMILY}, extra,
+               f"samples and word_length must be >= 1, got {got}")
+              for command in ("random", "tiling")
+              for extra, got in ((["--samples", "0"], "0 and 20"),
+                                 (["--word-length", "0", "--samples", "2"],
+                                  "2 and 0"))))
     for k, (command, payload, extra, message) in enumerate(runs):
         cfg = _write(tmp_path, f"{command}.json", payload)
         out = tmp_path / f"o{k}"

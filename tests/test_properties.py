@@ -15,7 +15,7 @@ from speclab import (LatticeGenerator, SingularMatrix, TruncationPolicy,
                      as_int_matrix, build_fn, det, ft_eval_many,
                      general_product, hadamard_matrix, periodic_word, qp_eval,
                      random_word, self_affine, triple)
-from speclab.linalg import inverse, inverse_float
+from speclab.linalg import _faddeev_leverrier, charpoly, inverse, inverse_float
 from speclab.measures import _exact_atoms
 from speclab.triples import parseval_defect
 
@@ -162,6 +162,34 @@ def test_inverse_is_exact_adjugate_over_determinant(m):
                                     for i in range(im.dim))
     assert inverse_float(im).tolist() == [[float(Fraction(x, d)) for x in row]
                                           for row in adj.rows]
+
+
+@example(m=[[0]], repeat=False)
+@given(m=st.integers(1, 5).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-9, 9), min_size=d, max_size=d),
+    min_size=d, max_size=d)), repeat=st.booleans())
+def test_one_pass_matches_bareiss_and_cofactor_oracles(m, repeat):
+    """The Faddeev-LeVerrier pass gives the Bareiss determinant and the
+    cofactor adjugate exactly, singular M included (a repeated row), and its
+    polynomial p has p(M) = 0 exactly (Cayley-Hamilton)."""
+    if repeat and len(m) > 1:
+        m = [*m[:-1], m[0]]
+    im, n = as_int_matrix(m), len(m)
+    p, adj = _faddeev_leverrier(im)
+    dt = oracles.bareiss_det(m)
+    assert p == charpoly(im) and p[-1] == 1 and len(p) == n + 1
+    assert det(im) == dt == (-1) ** n * p[0]
+    assert [list(row) for row in adj.rows] == oracles.cofactor_adjugate(m)
+    if dt == 0:
+        with pytest.raises(SingularMatrix):
+            inverse(im)
+    else:
+        assert inverse(im) == (adj, dt)
+    value = [[0] * n for _ in range(n)]
+    for c in reversed(p):  # Horner: value <- value M + c I
+        value = [[sum(value[i][k] * m[k][j] for k in range(n)) + c * (i == j)
+                  for j in range(n)] for i in range(n)]
+    assert value == [[0] * n for _ in range(n)]
 
 
 @given(seq=mixed_seqs.filter(lambda s: len(s) <= 10),

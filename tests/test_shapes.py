@@ -119,6 +119,19 @@ def test_wrong_widths_raise_dimension_mismatch(
                 quarter_cantor, find_extreme_cycles(quarter_cantor, 4), -1),
         "EnsembleConfig, window -1":
             lambda: EnsembleConfig(two_digit_family, lat1, samples=2, window=-1),
+        # an ensemble of no samples, or of empty words, is refused up front
+        "ensemble_spectrum_report, samples 0":
+            lambda: ensemble_spectrum_report(
+                EnsembleConfig(two_digit_family, lat1, samples=0)),
+        "ensemble_tiling_report, samples 0":
+            lambda: ensemble_tiling_report(
+                EnsembleConfig(two_digit_family, lat1, samples=0), 1),
+        "ensemble_spectrum_report, word_length 0":
+            lambda: ensemble_spectrum_report(
+                EnsembleConfig(two_digit_family, lat1, samples=2, word_length=0)),
+        "ensemble_tiling_report, word_length 0":
+            lambda: ensemble_tiling_report(
+                EnsembleConfig(two_digit_family, lat1, samples=2, word_length=0), 1),
     }
     for name, call in cases.items():
         with pytest.raises(DimensionMismatch):

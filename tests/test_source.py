@@ -24,33 +24,80 @@ def _dotted(node) -> str:
     return node.id if isinstance(node, ast.Name) else ""
 
 
+PASS = "_faddeev_leverrier"
+
+
+def _pass_readers() -> dict[str, str]:
+    """linalg function -> what it reads of the Faddeev-LeVerrier pass: the
+    'coefficients' alone (the call subscripted [0]) or the 'adjugate' too."""
+    readers = {}
+    for f in ast.parse((SRC / "linalg.py").read_text()).body:
+        if not isinstance(f, ast.FunctionDef):
+            continue
+        firsts = {id(n.value) for n in ast.walk(f) if isinstance(n, ast.Subscript)
+                  and isinstance(n.slice, ast.Constant) and n.slice.value == 0}
+        for node in ast.walk(f):
+            if isinstance(node, ast.Call) and _dotted(node.func) == PASS:
+                readers[f.name] = ("coefficients" if id(node) in firsts
+                                   else "adjugate")
+    return readers
+
+
 def test_every_inverse_reads_the_one_exact_inverse():
     # R^{-1} is formed only by linalg.inverse, as adj(R) / det(R): no float
-    # inversion, and no adjugate taken anywhere else
+    # inversion, and no adjugate taken anywhere else: outside linalg.py
+    # nothing calls the pass, and inside it only `inverse` reads its adjugate
     found = [f"{path.name}:{node.lineno} {name}"
              for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Call)
              and ((name := _dotted(node.func)).endswith("linalg.inv")
-                  or (name.split(".")[-1] == "adjugate"
-                      and path.name != "linalg.py"))]
+                  or (name.split(".")[-1] == PASS and path.name != "linalg.py"))]
     assert found == [], f"inverses formed outside linalg.inverse: {found}"
-    linalg = ast.parse((SRC / "linalg.py").read_text())
-    callers = {f.name for f in linalg.body if isinstance(f, ast.FunctionDef)
-               for node in ast.walk(f) if isinstance(node, ast.Call)
-               and _dotted(node.func) == "adjugate"}
-    assert callers == {"inverse"}
+    assert [f for f, read in _pass_readers().items() if read == "adjugate"] == [
+        "inverse"]
     # exact solves read the same pair: no Fraction elimination or Fraction
     # matrix view of an inverse survives beside it
     retired = {"rat_solve", "rat_inverse", "rat_apply",
                "cumulative_inverse_exact"}
+    assert _names_in_package(retired) == [], "exact solves outside linalg.inverse"
+
+
+def _names_in_package(names: set[str]) -> list[str]:
+    """Where src/speclab binds, reads or defines any of `names`."""
+    return [f"{path.name}:{node.lineno} {name}"
+            for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            for name in [getattr(node, "id", None) or getattr(node, "attr", None)
+                         or getattr(node, "name", None)]
+            if name in names]
+
+
+def test_one_pass_forms_every_determinant_charpoly_and_adjugate():
+    # det(R), det(xI - R) and adj(R) all come from one integer
+    # Faddeev-LeVerrier pass: no float determinant or polynomial, and no
+    # Bareiss elimination, cofactor expansion or Fraction matrix beside it
     found = [f"{path.name}:{node.lineno} {name}"
              for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             for name in [getattr(node, "id", None) or getattr(node, "attr", None)
-                          or getattr(node, "name", None)]
-             if name in retired]
-    assert found == [], f"exact solves outside linalg.inverse: {found}"
+             if isinstance(node, ast.Call)
+             and (name := _dotted(node.func)).split(".")[-1] in (
+                 "det", "slogdet", "poly") and name.startswith(("np.", "numpy."))]
+    assert found == [], f"float determinants or polynomials: {found}"
+    retired = {"adjugate", "cofactor", "as_fractions", "RatMatrix"}
+    assert _names_in_package(retired) == []
+    assert _pass_readers() == {"charpoly": "coefficients", "inverse": "adjugate"}
+    # det and is_expansive read the coefficients through charpoly, and no
+    # reader of the pass runs a loop (or nested helper) of its own
+    linalg = {f.name: f for f in ast.parse((SRC / "linalg.py").read_text()).body
+              if isinstance(f, ast.FunctionDef)}
+    for name in ("det", "is_expansive", "charpoly", "inverse"):
+        loops = [n for n in ast.walk(linalg[name])
+                 if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+        assert loops == [], f"{name} computes beside the pass"
+    assert {name for name, f in linalg.items() for n in ast.walk(f)
+            if isinstance(n, ast.Call) and _dotted(n.func) == "charpoly"} == {
+        "det", "is_expansive"}
 
 
 def _imported(tree) -> set[str]:
