@@ -29,19 +29,19 @@ _EXPORTS = {
                 "cycle_containment_radius", "hadamard_matrix",
                 "invariant_ball_radius", "mask_eval", "mask_is_extreme_at",
                 "tau_exact", "triple", "verify_hadamard"),
-    "measures": ("ConvolutionSystem", "FtValue", "NoOverlapReport",
-                 "TruncationPolicy", "ft_eval", "ft_eval_many",
+    "levels": ("ConvolutionSystem", "TruncationPolicy", "general_product",
+               "lambda_n", "periodic_word", "random_word", "self_affine"),
+    "measures": ("FtValue", "NoOverlapReport", "ft_eval", "ft_eval_many",
                  "ft_partial_eval", "ft_tail_eval", "ft_tail_eval_many",
-                 "general_product", "no_overlap_assess", "periodic_word",
-                 "random_word", "sample_support", "self_affine",
-                 "support_bbox", "support_radius"),
+                 "no_overlap_assess", "sample_support", "support_bbox",
+                 "support_radius"),
     "cycles": ("ExtremeCycle", "common_extreme_cycles",
                "dynamically_simple_spectrum", "find_extreme_cycles",
                "fixed_point_of_word"),
     "spectra": ("AnalysisReport", "CycleSpectrumGenerator",
                 "ExplicitGenerator", "FnMatrix", "LatticeGenerator",
                 "LevelSetsGenerator", "ProductGenerator", "QValue",
-                "SpectrumGenerator", "build_fn", "check_spectrum", "lambda_n",
+                "SpectrumGenerator", "build_fn", "check_spectrum",
                 "make_q_evaluator", "orthogonality_check", "qp_eval",
                 "strichartz_report", "tail_factor_scan", "transfer_apply",
                 "uniform_grid"),

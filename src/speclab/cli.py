@@ -10,10 +10,10 @@ Input schemas: see the CLI section of the README.
 
 Each process runs one command, so only the standard library and the exact
 triple layer (``errors``, ``linalg``, ``triples``) load at start-up; every
-command imports the modules it runs. ``verify`` loads no numpy: it checks
-H from exact integer phases. Every other command loads numpy when it first
-reads a float array or evaluates a transform, and ``cycles`` loads it for
-the float containment radius.
+command imports the modules it runs. ``verify`` and ``spectrum`` load no
+numpy: they read exact integer phases, Lambda_n on int tuples (``levels``)
+or exact cycles. Every other command loads numpy for a float array or a
+transform, and ``cycles`` for the float containment radius.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .triples import HadamardTriple, triple
 if TYPE_CHECKING:
     import numpy as np
 
-    from .measures import ConvolutionSystem, TruncationPolicy
+    from .levels import ConvolutionSystem, TruncationPolicy
 
 
 class CliError(Exception):
@@ -95,8 +95,8 @@ _UNUSABLE = {"self_affine": ("tail", "word"), "periodic": ("tail",),
 
 
 def _parse_system(obj, tol: float) -> ConvolutionSystem:
-    from .measures import (general_product, periodic_word, random_word,
-                           self_affine)
+    from .levels import (general_product, periodic_word, random_word,
+                         self_affine)
     kind = _object(obj, "system").get("kind")
     for key in _UNUSABLE.get(kind, ()):
         if key in obj:
@@ -170,7 +170,7 @@ def _parse_generator(obj, args, dim: int,
 
 
 def _policy(args) -> TruncationPolicy:
-    from .measures import TruncationPolicy
+    from .levels import TruncationPolicy
     return TruncationPolicy(depth=args.depth)
 
 
@@ -248,7 +248,7 @@ def cmd_spectrum(args) -> int:
     level = _window(args, 1) if system else args.window
     payload = {"config": _effective(args), "level": level}
     if system:
-        from .spectra import lambda_n
+        from .levels import lambda_n
         frequencies = lambda_n(_parse_system(obj, args.tol), level)
     else:
         from .cycles import dynamically_simple_spectrum, find_extreme_cycles
@@ -283,7 +283,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_strichartz(args) -> int:
-    from .measures import self_affine
+    from .levels import self_affine
     from .spectra import strichartz_report
     obj = _load_json(args.input)
     sysm = _parse_system(obj, args.tol) if "kind" in obj else \

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotCompleteResidue
 from .linalg import is_complete_residue_set
-from .measures import (DEFAULT_POLICY, TruncationPolicy, _as_basis,
-                       _as_points, random_word)
+from .levels import DEFAULT_POLICY, TruncationPolicy, random_word
+from .measures import _as_basis, _as_points
 from .quasiproduct import _require_tiling_window, lattice_tiling_check
 from .spectra import (SpectrumGenerator, _grid_points, _require_dim,
                       _require_window, check_spectrum, qp_eval, window_notes)
@@ -37,8 +37,8 @@ def sample_words(n_letters: int, length: int, count: int,
                  seed: int = 0) -> list[tuple[int, ...]]:
     """count uniform words over {0..n_letters-1}; word k comes from the
     stream seeded by (seed, k)."""
-    if n_letters < 1 or length < 1 or count < 1:
-        raise ValueError("need n_letters, length, count >= 1")
+    if n_letters < 1 or length < 1 or count < 1 or seed < 0:
+        raise ValueError("need n_letters, length, count >= 1 and seed >= 0")
     return [_word(n_letters, length, seed, k) for k in range(count)]
 
 
@@ -65,6 +65,8 @@ class EnsembleConfig:
             raise DimensionMismatch(
                 f"samples and word_length must be >= 1, got {self.samples} "
                 f"and {self.word_length}")
+        if self.seed < 0:
+            raise DimensionMismatch(f"seed must be >= 0, got {self.seed}")
 
     def echo(self) -> dict:
         return {

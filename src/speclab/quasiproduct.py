@@ -21,9 +21,9 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidPadding, VerificationFailed
 from .linalg import (IntMatrix, as_int_matrix, as_int_vector,
                      inv_transpose_series, inverse_float)
-from .measures import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
-                       _as_basis, _as_points, ft_eval_many, random_word,
-                       self_affine)
+from .levels import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
+                     random_word, self_affine)
+from .measures import _as_basis, _as_points, ft_eval_many
 from .triples import DigitSet, FrequencySet, HadamardTriple, triple
 
 if TYPE_CHECKING:

@@ -1,6 +1,7 @@
 """Candidate spectra and completeness diagnostics.
 
-Three instruments, all driven by the truncated Fourier product:
+The level frequency sets Lambda_n come from `levels`; three instruments,
+all driven by the truncated Fourier product, test them and other candidates:
 
 * the level matrices F_n = [ |mu_{>n}^(lambda)| e^{-2 pi i <b, lambda>} ] /
   sqrt(M_n) and their minimum "singular value", here the minimum eigenvalue
@@ -17,18 +18,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, SizeCap, VerificationFailed
-from .linalg import identity
-from .measures import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
-                       _as_basis, _as_point, _as_points, _atom_count,
-                       _ft_product, ft_eval_many, ft_tail_eval_many,
-                       level_word_sums)
+from .levels import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
+                     _atom_count, lambda_n, lambda_word_values)
+from .measures import (_as_basis, _as_point, _as_points, _ft_product,
+                       ft_eval_many, ft_tail_eval_many)
 from .triples import HadamardTriple, mask_eval_many, tau_float_many
 
 if TYPE_CHECKING:
@@ -156,41 +155,6 @@ class ProductGenerator(SpectrumGenerator):
     def describe(self) -> dict:
         return {"kind": "product", "first": self.first.describe(),
                 "second": self.second.describe()}
-
-
-# -- level frequency sets -----------------------------------------------------
-
-
-def lambda_word_values(sys: ConvolutionSystem, n: int) -> list[tuple[int, ...]]:
-    """Lambda_n elements in digit-word order (with any collisions kept)."""
-    cum = [identity(sys.dim)]  # P_k = R_1^T ... R_{k-1}^T, exact
-    for k in range(1, n):
-        t = sys.triple_at(k)
-        cum.append(cum[-1] if t is None else cum[-1] @ t.R.transpose())
-
-    def options(k: int, t: HadamardTriple) -> np.ndarray:
-        return np.array([cum[k - 1].apply(l) for l in t.L.vectors], dtype=object)
-
-    vals = level_word_sums(sys, n, options, np.zeros(sys.dim, dtype=object))
-    return [tuple(v) for v in vals]
-
-
-def lambda_n(sys: ConvolutionSystem, n: int) -> list[tuple[int, ...]]:
-    """Level-n frequency set, deduplicated and sorted.
-
-    A collision (fewer distinct sums than digit words) breaks the bijective
-    indexing the completeness criterion relies on, so it is reported as a
-    warning.
-    """
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    vals = lambda_word_values(sys, n)
-    out = sorted(set(vals))
-    if len(out) != len(vals):
-        warnings.warn(f"Lambda_{n} has collisions ({len(vals)} words, "
-                      f"{len(out)} distinct sums); orthogonality counting breaks",
-                      stacklevel=2)
-    return out
 
 
 # -- the level matrices F_n ---------------------------------------------------

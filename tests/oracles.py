@@ -232,6 +232,24 @@ def cumulative_inverses(rs) -> list[list[list[Fraction]]]:
     return out
 
 
+def lambda_words(levels) -> list[tuple[int, ...]]:
+    """Lambda_n in digit-word order, collisions kept, by brute force: the sum
+    of P_k l_k over every word (l_1, ..., l_n) of itertools.product, with
+    P_k = R_1^T ... R_{k-1}^T. `levels` gives each level's (R, L) as integer
+    lists, or None past a finite tail, where the only option is 0."""
+    d = len(next(lv for lv in levels if lv is not None)[0])
+    ps, p = [], [[int(i == j) for j in range(d)] for i in range(d)]
+    for lv in levels:
+        ps.append(p)
+        if lv is not None:  # P_{k+1} = P_k R_k^T
+            p = [[sum(p[i][m] * lv[0][j][m] for m in range(d)) for j in range(d)]
+                 for i in range(d)]
+    options = [[[0] * d] if lv is None else lv[1] for lv in levels]
+    return [tuple(sum(pk[i][j] * l[j] for pk, l in zip(ps, word)
+                      for j in range(d)) for i in range(d))
+            for word in itertools.product(*options)]
+
+
 def bareiss_det(m) -> int:
     """Exact determinant of a square integer matrix (nested lists) by
     fraction-free Bareiss elimination."""

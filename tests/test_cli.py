@@ -452,7 +452,11 @@ def test_empty_grid_and_window_exit_1(tmp_path, capsys):
               for command in ("random", "tiling")
               for extra, got in ((["--samples", "0"], "0 and 20"),
                                  (["--word-length", "0", "--samples", "2"],
-                                  "2 and 0"))))
+                                  "2 and 0"))),
+            # a negative seed has no stream, so no word is drawn
+            *((command, {"triples": FAMILY},
+               ["--samples", "2", "--word-length", "3", "--seed", "-1"],
+               "seed must be >= 0, got -1") for command in ("random", "tiling")))
     for k, (command, payload, extra, message) in enumerate(runs):
         cfg = _write(tmp_path, f"{command}.json", payload)
         out = tmp_path / f"o{k}"

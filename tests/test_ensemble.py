@@ -14,6 +14,8 @@ def test_sample_words_deterministic():
     assert a == b
     assert len(a) == 50 and all(len(w) == 20 for w in a)
     assert sample_words(1, 5, 3, seed=0) == [(0,) * 5] * 3
+    with pytest.raises(ValueError, match="seed >= 0"):
+        sample_words(2, 5, 3, seed=-1)
 
 
 def test_sample_words_per_sample_streams():

@@ -32,7 +32,7 @@ PUBLIC = [
     "fixed_point_of_word", "ft_eval", "ft_eval_many", "ft_partial_eval",
     "ft_tail_eval", "ft_tail_eval_many", "general_product", "hadamard_matrix",
     "invariant_ball_radius", "is_complete_residue_set", "is_expansive",
-    "lambda_n", "lattice_tiling_check", "linalg", "make_q_evaluator",
+    "lambda_n", "lattice_tiling_check", "levels", "linalg", "make_q_evaluator",
     "mask_eval", "mask_is_extreme_at", "measures", "multi_step_contraction",
     "no_overlap_assess", "orthogonality_check", "periodic_word",
     "product_spectrum_check", "qp_eval", "quasi_product_spec", "quasiproduct",
@@ -70,6 +70,8 @@ print(json.dumps({
 
 
 TRIPLE_LAYER = ["speclab.errors", "speclab.linalg", "speclab.triples"]
+LEVEL_LAYER = sorted([*TRIPLE_LAYER, "speclab.levels"])
+FAMILY = [{"R": 2, "B": [0, 1], "L": [0, 1]}, {"R": 2, "B": [0, 3], "L": [0, 1]}]
 
 
 def test_import_speclab_loads_no_submodule(tmp_path):
@@ -83,6 +85,28 @@ def test_triple_loads_no_numpy(tmp_path):
         "assert speclab.triple(2, [0, 3], [0, 1]).status == 'verified'",
         tmp_path)
     assert loaded == {"speclab": TRIPLE_LAYER, "pools": [], "numpy": False}
+
+
+def test_lambda_n_loads_only_the_level_layer(tmp_path):
+    # Lambda_n is integer work on the level sequence: no float view loads
+    loaded = _loaded_after(
+        "import speclab\n"
+        f"fam = [speclab.triple(t['R'], t['B'], t['L']) for t in {FAMILY}]\n"
+        "sys = speclab.random_word(fam, [0, 1, 1])\n"
+        "assert speclab.lambda_n(sys, 8) == [(k,) for k in range(256)]",
+        tmp_path)
+    assert loaded == {"speclab": LEVEL_LAYER, "pools": [], "numpy": False}
+
+
+def test_cli_system_spectrum_loads_only_the_level_layer(tmp_path):
+    (tmp_path / "s.json").write_text(json.dumps(
+        {"kind": "random_word", "triples": FAMILY, "word": [0, 1, 1]}))
+    loaded = _loaded_after(
+        "from speclab import cli\n"
+        "assert cli.main(['spectrum', '--input', 's.json', '--out', 'o']) == 0",
+        tmp_path)
+    assert loaded == {"speclab": sorted(["speclab.cli", *LEVEL_LAYER]),
+                      "pools": [], "numpy": False}
 
 
 def test_cli_verify_loads_only_the_triple_layer(tmp_path):

@@ -15,6 +15,7 @@ from speclab import (LatticeGenerator, SingularMatrix, TruncationPolicy,
                      as_int_matrix, build_fn, det, ft_eval_many,
                      general_product, hadamard_matrix, periodic_word, qp_eval,
                      random_word, self_affine, triple)
+from speclab.levels import _atom_count, lambda_word_values
 from speclab.linalg import _faddeev_leverrier, charpoly, inverse, inverse_float
 from speclab.measures import _exact_atoms
 from speclab.triples import parseval_defect
@@ -126,6 +127,23 @@ def test_level_table_matches_fraction_products(seq, two_d):
                               for c in exact]
     assert [[[Fraction(x, den) for x in row] for row in num.rows]
             for num, den in sys._level_table(len(levels))] == exact
+
+
+@given(seq=mixed_seqs.filter(lambda s: len(s) <= 4), two_d=st.booleans(),
+       tail=tails, n=st.integers(1, 5))
+def test_lambda_words_match_bruteforce_oracle(seq, two_d, tail, n):
+    """Lambda_n in digit-word order is sum_k P_k l_k over every digit word,
+    past either tail, and the atom count is the enumerator's length."""
+    pool = MIXED_2D if two_d else MIXED
+    levels = [pool[i % len(pool)] for i in seq]
+    sys = general_product(levels, tail=tail)
+    letters = [oracles.level_letter_reference("general", len(levels), None,
+                                              tail, k) for k in range(1, n + 1)]
+    words = lambda_word_values(sys, n)
+    assert words == oracles.lambda_words([
+        None if i is None else (_int_matrix(levels[i]), levels[i].L.vectors)
+        for i in letters])
+    assert _atom_count(sys, n) == len(words)
 
 
 @given(seq=st.lists(st.integers(0, len(MIXED) - 1), min_size=1, max_size=4),

@@ -132,6 +132,8 @@ def test_wrong_widths_raise_dimension_mismatch(
         "ensemble_tiling_report, word_length 0":
             lambda: ensemble_tiling_report(
                 EnsembleConfig(two_digit_family, lat1, samples=2, word_length=0), 1),
+        "EnsembleConfig, seed -1":
+            lambda: EnsembleConfig(two_digit_family, lat1, samples=2, seed=-1),
     }
     for name, call in cases.items():
         with pytest.raises(DimensionMismatch):

@@ -1,6 +1,7 @@
 """Source-level rules that no other test can see."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "speclab"
@@ -149,3 +150,57 @@ def test_cli_handlers_read_only_declared_options():
         if extra:
             undeclared[command] = sorted(extra)
     assert undeclared == {}, f"handlers read options they do not define: {undeclared}"
+
+
+# the exact level layer: the level sequence, its table and its level words
+LEVEL_NAMES = {"DEFAULT_TARGET", "DEFAULT_MAX_DEPTH", "TruncationPolicy",
+               "DEFAULT_POLICY", "ConvolutionSystem", "self_affine",
+               "periodic_word", "random_word", "general_product",
+               "level_word_sums", "_atom_count", "lambda_word_values",
+               "lambda_n"}
+
+
+def _defined(tree) -> set[str]:
+    """Names a module defines at its top level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        for target in getattr(node, "targets", [getattr(node, "target", None)]):
+            if isinstance(target, ast.Name):
+                names.add(target.id)
+    return names
+
+
+def _imports_at_load(nodes) -> set[str]:
+    """Modules imported when a module loads (relative ones with a leading
+    dot): imports inside functions and `if TYPE_CHECKING:` blocks aside."""
+    found = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add("." * node.level + (node.module or "").split(".")[0])
+        elif not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  or isinstance(node, ast.If) and _dotted(node.test) == "TYPE_CHECKING"):
+            found |= _imports_at_load(ast.iter_child_nodes(node))
+    return found
+
+
+def test_one_exact_level_layer_without_object_arrays():
+    # level data are integers, kept as plain int tuples: no numpy object
+    # array anywhere, and the layer that computes them loads no numpy
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.keyword) and node.arg == "dtype"
+             and _dotted(node.value) == "object"]
+    assert found == [], f"object arrays in src/speclab: {found}"
+    levels = ast.parse((SRC / "levels.py").read_text())
+    assert _imports_at_load(levels.body) - set(sys.stdlib_module_names) == {
+        ".linalg", ".triples"}
+    # each name of the layer is defined once, in levels.py; others import it
+    homes = {name: sorted(path.name for path in SRC.glob("*.py")
+                          if name in _defined(ast.parse(path.read_text())))
+             for name in LEVEL_NAMES}
+    assert homes == {name: ["levels.py"] for name in LEVEL_NAMES}

@@ -30,7 +30,7 @@ def test_lambda_levels_nested(quarter_cantor_system):
 
 
 def test_lambda_collision_warns():
-    from speclab.measures import ConvolutionSystem
+    from speclab.levels import ConvolutionSystem
     # adversarial L: 3 + 3*0 == 0 + 3*1 collides at level 2 (verified triples
     # cannot collide, so the gate has to be forced open for this case)
     t_bad = triple(3, [0, 1, 2], [0, 1, 3], require=False)
