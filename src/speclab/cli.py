@@ -64,11 +64,13 @@ def _object(obj, what: str) -> dict:
     return obj
 
 
-def _word(obj: dict) -> list[int]:
-    word = obj.get("word", [])
-    if not isinstance(word, list) or any(type(x) is not int for x in word):
+def _word(obj: dict) -> tuple[int, ...] | None:
+    """obj["word"] as a tuple of integers, None when obj names no word."""
+    word = obj.get("word")
+    if "word" in obj and not (isinstance(word, list)
+                              and all(type(x) is int for x in word)):
         raise CliError(f"'word' must be a list of integers, got {json.dumps(word)}")
-    return word
+    return None if word is None else tuple(word)
 
 
 def _parse_triple(obj, tol: float, verify: bool = True) -> HadamardTriple:
@@ -89,36 +91,19 @@ def _parse_family(obj, tol: float) -> list[HadamardTriple]:
     return [_parse_triple(t, tol) for t in items]
 
 
-# fields a kind cannot use; other keys may belong to an enclosing config
-_UNUSABLE = {"self_affine": ("tail", "word"), "periodic": ("tail",),
-             "general": ("word",)}
-
-
 def _parse_system(obj, tol: float) -> ConvolutionSystem:
-    from .levels import (general_product, periodic_word, random_word,
-                         self_affine)
+    """The system of a JSON config. Its JSON types are checked here and the
+    rest in `ConvolutionSystem`; other keys may belong to an enclosing config."""
+    from .levels import ConvolutionSystem
     kind = _object(obj, "system").get("kind")
-    for key in _UNUSABLE.get(kind, ()):
-        if key in obj:
-            raise CliError(f"{kind} system takes no {key!r} field")
     triples = _parse_family(obj, tol)
-    if kind == "self_affine" and len(triples) != 1:
-        raise CliError("self_affine system takes exactly one triple")
-    word = _word(obj)
-    # each factory keeps its own default tail unless the input names one
-    tail = {"tail": obj["tail"]} if "tail" in obj else {}
+    tail = obj.get("tail")
+    if "tail" in obj and not isinstance(tail, str):
+        raise CliError(f"'tail' must be a string, got {json.dumps(tail)}")
     try:
-        if kind == "self_affine":
-            return self_affine(triples[0])
-        if kind == "periodic":
-            return periodic_word(triples, word)
-        if kind == "random_word":
-            return random_word(triples, word, **tail)
-        if kind == "general":
-            return general_product(triples, **tail)
+        return ConvolutionSystem(kind, tuple(triples), _word(obj), tail)
     except (ValueError, TypeError, SpeclabError) as exc:
         raise CliError(f"bad system: {exc}") from exc
-    raise CliError(f"unknown system kind {kind!r}")
 
 
 def _numeric(x) -> float:
@@ -283,11 +268,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_strichartz(args) -> int:
-    from .levels import self_affine
     from .spectra import strichartz_report
     obj = _load_json(args.input)
-    sysm = _parse_system(obj, args.tol) if "kind" in obj else \
-        self_affine(_parse_triple(obj, args.tol))
+    sysm = _parse_system(obj if "kind" in obj else
+                         {"kind": "self_affine", "triples": [obj]}, args.tol)
     n_max = _window(args, 1)
     rep = strichartz_report(sysm, n_max, pol=_policy(args))
     rep["config"] = _effective(args, n_max=n_max)

@@ -22,8 +22,8 @@ from .linalg import is_complete_residue_set
 from .levels import DEFAULT_POLICY, TruncationPolicy, random_word
 from .measures import _as_basis, _as_points
 from .quasiproduct import _require_tiling_window, lattice_tiling_check
-from .spectra import (SpectrumGenerator, _grid_points, _require_dim,
-                      _require_window, check_spectrum, qp_eval, window_notes)
+from .spectra import (SpectrumGenerator, _grid_points, _q_grid, _require_dim,
+                      _require_window, check_spectrum, window_notes)
 from .triples import HadamardTriple
 
 
@@ -58,8 +58,9 @@ class EnsembleConfig:
     tail: str = "repeat_last"
 
     def __post_init__(self):
-        if self.triples:
-            _require_dim(self.triples[0].dim, self.generator)
+        if not self.triples:
+            raise DimensionMismatch("an ensemble needs at least one triple")
+        _require_dim(self.triples[0].dim, self.generator)
         _require_window(self.window)
         if min(self.samples, self.word_length) < 1:
             raise DimensionMismatch(
@@ -241,13 +242,10 @@ def counterexample_probe(triples: Sequence[HadamardTriple], word,
     contributes |mu^(xi)|^2 <= 1, so probes at xi = 0 always stay near 1.
     """
     sys = random_word(triples, tuple(int(x) for x in word), tail=tail)
-    rows = []
-    worst = float("inf")
-    for xi in _as_points(sys.dim, probes, "'probes'"):
-        qv = qp_eval(sys, gen, xi, window=window, pol=pol)
-        rows.append((xi, qv.q, qv.terms, qv.q_bound))
-        worst = min(worst, qv.q)
+    pts = _as_points(sys.dim, probes, "'probes'")
+    q, slack, terms = _q_grid(sys, gen, pts, window, pol)
+    rows = [(xi, float(qi), terms, float(si)) for xi, qi, si in zip(pts, q, slack)]
     threshold = 1.0 - 10.0 * q_slack
-    verdict = "NonSpectralEvidence" if worst < threshold else "consistent"
+    verdict = "NonSpectralEvidence" if q.min() < threshold else "consistent"
     return ProbeReport(tuple(int(x) for x in word), rows, verdict, threshold,
                        {"window": window, "q_slack": q_slack, "tail": tail})

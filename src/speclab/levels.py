@@ -43,7 +43,11 @@ class ConvolutionSystem:
     """Level sequence of verified Hadamard triples defining one measure.
 
     kind: "self_affine" | "periodic" | "random_word" | "general"
-    tail: "repeat_last" | "finite" (what happens beyond the explicit data)
+    word: the letters of periodic and random_word
+    tail: "repeat_last" | "finite" (what happens beyond the explicit data) of
+        random_word ("repeat_last" by default) and general ("finite")
+    Which fields each kind takes is decided here alone: a field its kind
+    cannot use raises ValueError rather than being ignored.
 
     Every kind is one level sequence: the letters (indices into `triples`)
     of an explicit prefix, then a period repeated forever, empty when the
@@ -55,12 +59,18 @@ class ConvolutionSystem:
     kind: str
     triples: tuple[HadamardTriple, ...]
     word: tuple[int, ...] | None = None
-    tail: str = "repeat_last"
+    tail: str | None = None
     _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("self_affine", "periodic", "random_word", "general"):
             raise ValueError(f"unknown system kind {self.kind!r}")
+        if self.kind in ("self_affine", "general") and self.word is not None:
+            raise ValueError(f"{self.kind} system takes no 'word' field")
+        if self.kind in ("self_affine", "periodic") and self.tail is not None:
+            raise ValueError(f"{self.kind} system takes no 'tail' field")
+        if self.tail is None:
+            self.tail = "finite" if self.kind == "general" else "repeat_last"
         if self.tail not in ("repeat_last", "finite"):
             raise ValueError(f"unknown tail convention {self.tail!r}")
         if not self.triples:
@@ -219,12 +229,12 @@ def periodic_word(triples: Sequence[HadamardTriple], word: Sequence[int]) -> Con
 
 
 def random_word(triples: Sequence[HadamardTriple], word: Sequence[int],
-                tail: str = "repeat_last") -> ConvolutionSystem:
+                tail: str | None = None) -> ConvolutionSystem:
     return ConvolutionSystem("random_word", tuple(triples), tuple(word), tail)
 
 
 def general_product(triples: Sequence[HadamardTriple],
-                    tail: str = "finite") -> ConvolutionSystem:
+                    tail: str | None = None) -> ConvolutionSystem:
     return ConvolutionSystem("general", tuple(triples), None, tail)
 
 

@@ -20,7 +20,7 @@ from .errors import DimensionMismatch
 from .levels import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
                      _atom_count, level_word_sums)
 from .linalg import residue_classes_distinct
-from .triples import HadamardTriple
+from .triples import HadamardTriple, mask_eval_many
 
 # -- Fourier transform -------------------------------------------------------
 
@@ -74,15 +74,14 @@ def _ft_product(sys: ConvolutionSystem, pts: np.ndarray, depth: int,
     """prod_{skip_upto < k <= depth} conj(m_{B_k})((R_k...R_1)^{-T} xi).
 
     With xi as a row, eta_k = xi C_k comes straight from the level table,
-    so the skipped levels cost nothing.
+    so the skipped levels cost nothing; conj m_B(eta) = m_B(-eta), and
+    negating C_k negates every phase exactly.
     """
     vals = np.ones(len(pts), dtype=complex)
     cum = sys.cumulative_inverse(depth)
     for k in range(skip_upto + 1, depth + 1):
-        t = sys.triple_at(k)
-        if t is not None:
-            phase = (pts @ cum[k - 1]) @ t.B.as_numpy().T
-            vals *= np.exp(-2j * np.pi * phase).mean(axis=1)
+        if (t := sys.triple_at(k)) is not None:
+            vals *= mask_eval_many(t.B, pts @ -cum[k - 1])
     return vals
 
 
@@ -200,14 +199,13 @@ def no_overlap_assess(sys: ConvolutionSystem, n: int, samples: int = 4096,
         return NoOverlapReport("proven", n, detail={"reason": "singleton digits"})
 
     m_n = _atom_count(sys, n)
-    if m_n <= cap:
-        residues_ok = all(residue_classes_distinct(t.R, t.B.vectors)
-                          for t in triples_used.values())
-        values, arr = _exact_atoms(sys, n)
-        injective = len(set(values)) == m_n
+    # distinct digit residues at every level make the atoms distinct: b_n is
+    # R_n...R_1 x mod R_n, then b_{n-1} likewise, and so on down
+    if m_n <= cap and all(residue_classes_distinct(t.R, t.B.vectors)
+                          for t in triples_used.values()):
         diam = 2.0 * support_radius(sys, n)
-        min_gap = _min_pairwise_gap(arr)
-        if residues_ok and injective and min_gap > diam:
+        min_gap = _min_pairwise_gap(_exact_atoms(sys, n)[1])
+        if min_gap > diam:
             return NoOverlapReport("proven", n, detail={
                 "min_gap": min_gap, "tail_diameter_bound": diam})
     if not sys.prefix and len(sys.period) == 1 and sys.period[0].status == "verified":
@@ -259,9 +257,6 @@ def _sample_atoms(sys: ConvolutionSystem, m: int, count: int, rng):
 def _min_pairwise_gap(pts: np.ndarray) -> float:
     if len(pts) < 2:
         return math.inf
-    if pts.shape[1] == 1:
-        v = np.sort(pts[:, 0])
-        return float(np.diff(v).min())
     # sweep the points in order of their first coordinate, one offset at a
     # time; once every pair at an offset is a first-coordinate gap >= best
     # apart, so is every pair further on
@@ -288,22 +283,12 @@ def _sweep_ends(v: np.ndarray, tol: float) -> np.ndarray:
     return hi
 
 
-def _close_pairs_sorted(v: np.ndarray, tol: float) -> int:
-    """#pairs i < k of ascending v with v[k] - v[i] < tol."""
-    return int((_sweep_ends(v, tol) - np.arange(len(v)) - 1).sum())
-
-
 def _near_pairs(pts: np.ndarray, prefixes: np.ndarray,
                 tol: float) -> tuple[int, int]:
     """(#cross-prefix pairs strictly within tol, #cross-prefix pairs)."""
     n = len(pts)
-    groups, counts = np.unique(prefixes, return_counts=True)
+    _, counts = np.unique(prefixes, return_counts=True)
     total_cross = n * (n - 1) // 2 - int((counts * (counts - 1) // 2).sum())
-    if pts.shape[1] == 1:
-        v = pts[:, 0]
-        same = sum(_close_pairs_sorted(np.sort(v[prefixes == p]), tol)
-                   for p in groups)
-        return _close_pairs_sorted(np.sort(v), tol) - same, total_cross
     # a pair whose first coordinates lie tol or more apart has a norm of at
     # least tol (sqrt(x * x) rounds back to |x|), so only pairs inside each
     # point's first-coordinate window are measured, one offset at a time

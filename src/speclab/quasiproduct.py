@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidPadding, VerificationFailed
-from .linalg import (IntMatrix, as_int_matrix, as_int_vector,
+from .linalg import (IntMatrix, _plain, as_int_matrix, as_int_vector,
                      inv_transpose_series, inverse_float)
 from .levels import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
                      random_word, self_affine)
@@ -71,10 +71,9 @@ class QuasiProductSpec:
     def inner_triples(self) -> list[HadamardTriple]:
         return [triple(self.R, b.vectors, self.L.vectors) for b in self.B_family]
 
-    def coupling(self) -> np.ndarray:
-        if self.C is None:
-            return np.zeros((self.inner_dim, self.outer_dim))
-        return np.array(self.C, dtype=float)
+    def coupling(self) -> tuple[tuple[int, ...], ...]:
+        """The d x r integer block C as int rows, zero when C is None."""
+        return self.C or ((0,) * self.outer_dim,) * self.inner_dim
 
 
 def quasi_product_spec(r1, a, l1, r, b_family, l, c=None) -> QuasiProductSpec:
@@ -95,13 +94,17 @@ def quasi_product_spec(r1, a, l1, r, b_family, l, c=None) -> QuasiProductSpec:
 
 
 def _as_coupling(c, d: int, r: int) -> tuple[tuple[int, ...], ...] | None:
-    """The d x r integer coupling block: d rows, each a point of R^r."""
+    """The d x r integer coupling block: d rows, each a point of R^r by
+    `_as_points`, with the entries read exactly from c, row by row."""
     if c is None:
         return None
-    rows = tuple(map(as_int_vector, _as_points(r, c, "rows of coupling C")))
-    if len(rows) != d:
-        raise DimensionMismatch(
-            f"coupling C must be {d}x{r}, got {len(rows)} rows")
+    m = len(_as_points(r, c, "rows of coupling C"))
+    if m != d:
+        raise DimensionMismatch(f"coupling C must be {d}x{r}, got {m} rows")
+    c = _plain(c)
+    flat = [x for v in (c if isinstance(c, (list, tuple)) else [c])
+            for x in as_int_vector(v)]
+    rows = tuple(tuple(flat[i:i + r]) for i in range(0, len(flat), r))
     return rows if any(map(any, rows)) else None
 
 
@@ -113,18 +116,10 @@ def build_quasi_product(spec: QuasiProductSpec,
     in the Gram sum factors through the outer triple; a failed verification
     therefore signals an invalid spec rather than a bad C.
     """
-    r, d = spec.outer_dim, spec.inner_dim
-    c = spec.coupling().astype(int)
-    rows = []
-    for i in range(r):
-        rows.append(tuple(spec.R1.rows[i]) + (0,) * d)
-    for i in range(d):
-        rows.append(tuple(int(c[i][j]) for j in range(r)) + tuple(spec.R.rows[i]))
-    big_r = tuple(rows)
-    digits = [tuple(a) + tuple(dv)
-              for a, b in zip(spec.a, spec.B_family) for dv in b.vectors]
-    freqs = [tuple(l1) + tuple(l2)
-             for l1 in spec.L1.vectors for l2 in spec.L.vectors]
+    big_r = ([row + (0,) * spec.inner_dim for row in spec.R1.rows]
+             + [c + row for c, row in zip(spec.coupling(), spec.R.rows)])
+    digits = [a + dv for a, b in zip(spec.a, spec.B_family) for dv in b.vectors]
+    freqs = [l1 + l2 for l1 in spec.L1.vectors for l2 in spec.L.vectors]
     try:
         return triple(big_r, digits, freqs, tol=tol)
     except VerificationFailed as exc:
@@ -204,7 +199,7 @@ def _shear_bound(spec: QuasiProductSpec, amax: float, depth: int) -> float:
     so those levels add at most amax ||C|| sum_{k>depth} k g^{k+1}, summed
     in closed form.
     """
-    cn = float(np.linalg.norm(spec.coupling(), 2))
+    cn = float(np.linalg.norm(np.array(spec.coupling(), dtype=float), 2))
     if cn == 0:
         return 0.0
     g = max(float(np.linalg.norm(inverse_float(m), 2))
@@ -246,7 +241,7 @@ def describe_spec(spec: QuasiProductSpec) -> dict:
         "R": [list(r) for r in spec.R.rows],
         "B_family": [[list(v) for v in b.vectors] for b in spec.B_family],
         "L": [list(x) for x in spec.L.vectors],
-        "C": spec.coupling().astype(int).tolist(),
+        "C": [list(c) for c in spec.coupling()],
     }
 
 

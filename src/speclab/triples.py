@@ -27,29 +27,24 @@ if TYPE_CHECKING:
 DEFAULT_TOL = 1e-9
 
 
-def _as_vector_set(vs, name: str) -> tuple[tuple[int, ...], ...]:
-    vecs = [as_int_vector(v) for v in vs]
-    if not vecs:
-        raise ValueError(f"{name} must be nonempty")
-    d = len(vecs[0])
-    if any(len(v) != d for v in vecs):
-        raise ValueError(f"{name} vectors have mixed dimensions")
-    if len(set(vecs)) != len(vecs):
-        raise ValueError(f"{name} contains duplicates")
-    if (0,) * d not in set(vecs):
-        raise ValueError(f"{name} must contain the zero vector")
-    return tuple(vecs)
-
-
 @dataclass(frozen=True)
-class DigitSet:
-    """Finite set of integer digit vectors containing 0."""
+class _VectorSet:
+    """Finite set of integer vectors containing 0; `of` names it `_what`."""
 
     vectors: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def of(cls, vs) -> "DigitSet":
-        return cls(_as_vector_set(vs, "digit set"))
+    def of(cls, vs):
+        vecs = tuple(as_int_vector(v) for v in vs)
+        if not vecs:
+            raise ValueError(f"{cls._what} must be nonempty")
+        if len({len(v) for v in vecs}) > 1:
+            raise ValueError(f"{cls._what} vectors have mixed dimensions")
+        if len(set(vecs)) != len(vecs):
+            raise ValueError(f"{cls._what} contains duplicates")
+        if (0,) * len(vecs[0]) not in vecs:
+            raise ValueError(f"{cls._what} must contain the zero vector")
+        return cls(vecs)
 
     @property
     def dim(self) -> int:
@@ -61,6 +56,13 @@ class DigitSet:
     def as_numpy(self) -> np.ndarray:
         import numpy as np
         return np.array(self.vectors, dtype=float)
+
+
+@dataclass(frozen=True)
+class DigitSet(_VectorSet):
+    """Finite set of integer digit vectors containing 0."""
+
+    _what = "digit set"
 
     @property
     def max_norm(self) -> float:
@@ -69,25 +71,10 @@ class DigitSet:
 
 
 @dataclass(frozen=True)
-class FrequencySet:
+class FrequencySet(_VectorSet):
     """Finite set of integer frequency vectors containing 0."""
 
-    vectors: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def of(cls, vs) -> "FrequencySet":
-        return cls(_as_vector_set(vs, "frequency set"))
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors[0])
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def as_numpy(self) -> np.ndarray:
-        import numpy as np
-        return np.array(self.vectors, dtype=float)
+    _what = "frequency set"
 
 
 @dataclass
@@ -186,12 +173,11 @@ def mask_eval(digits: DigitSet | Iterable, xi) -> complex:
     """m_B(xi) = mean of exp(2 pi i <b, xi>) over the digit set."""
     import numpy as np
     b = digits if isinstance(digits, DigitSet) else DigitSet.of(digits)
-    x = np.atleast_1d(np.asarray(xi, dtype=float))
-    return complex(np.exp(2j * np.pi * (b.as_numpy() @ x)).mean())
+    return complex(mask_eval_many(b, np.atleast_1d(np.asarray(xi, dtype=float))))
 
 
 def mask_eval_many(digits: DigitSet, xs: np.ndarray) -> np.ndarray:
-    """Vectorized m_B over points of shape (..., d)."""
+    """Vectorized m_B over points of shape (..., d): the one mask kernel."""
     import numpy as np
     return np.exp(2j * np.pi * (xs @ digits.as_numpy().T)).mean(axis=-1)
 
@@ -261,9 +247,7 @@ def cycle_containment_radius(r, freqs: FrequencySet | Iterable,
 def parseval_defect(t: HadamardTriple, xi) -> float:
     """|1 - sum_l |m_B(tau_l xi)|^2|; zero for a genuine triple."""
     import numpy as np
-    x = np.atleast_1d(np.asarray(xi, dtype=float))
-    total = 0.0
-    for ell in t.L.vectors:
-        y = tau_float_many(t.R, ell, x[None, :])[0]
-        total += abs(mask_eval(t.B, y)) ** 2
-    return abs(1.0 - total)
+    x = np.atleast_1d(np.asarray(xi, dtype=float))[None, :]
+    total = sum(abs(mask_eval_many(t.B, tau_float_many(t.R, ell, x))[0]) ** 2
+                for ell in t.L.vectors)
+    return float(abs(1.0 - total))

@@ -57,6 +57,9 @@ def test_malformed_system_configs_exit_1(tmp_path):
         {"kind": "self_affine", "triples": [QC_TRIPLE], "word": [0]},
         {"kind": "general", "triples": FAMILY, "word": [0, 1]},
         {"kind": "self_affine", "triples": FAMILY},        # two triples
+        # a tail that is not a string, JSON null included
+        {"kind": "random_word", "triples": FAMILY, "word": [0, 1],
+         "tail": None},
     ):
         cfg = _write(tmp_path, "sys.json", payload)
         assert main(["strichartz", "--input", cfg, "--out", out,

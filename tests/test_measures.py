@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from speclab import (TruncationPolicy, ft_eval, ft_eval_many, ft_partial_eval,
-                     ft_tail_eval, general_product, no_overlap_assess,
-                     periodic_word, random_word, sample_support, self_affine,
-                     support_bbox, triple)
+from speclab import (ConvolutionSystem, TruncationPolicy, ft_eval,
+                     ft_eval_many, ft_partial_eval, ft_tail_eval,
+                     general_product, no_overlap_assess, periodic_word,
+                     random_word, sample_support, self_affine, support_bbox,
+                     triple)
 
 import oracles
 
@@ -139,6 +140,14 @@ def test_periodic_and_word_systems(two_digit_family):
     assert rw.triple_at(5) is two_digit_family[1]
     fin = random_word(two_digit_family, [0, 1], tail="finite")
     assert fin.triple_at(3) is None
+    # a general system is finite unless told otherwise, and a field its
+    # kind cannot use is refused rather than ignored
+    assert ConvolutionSystem("general", tuple(two_digit_family)).finite_length == 2
+    for kind, field in (("general", {"word": (0, 1)}),
+                        ("self_affine", {"tail": "finite"}),
+                        ("periodic", {"word": (0,), "tail": "repeat_last"})):
+        with pytest.raises(ValueError, match="takes no"):
+            ConvolutionSystem(kind, tuple(two_digit_family[:1]), **field)
 
 
 def test_bad_word_closed_form(two_digit_family):
@@ -193,7 +202,7 @@ def test_no_overlap_sampled_branch(two_digit_family):
 
 
 def test_near_pairs_1d_matches_loop():
-    from speclab.measures import _near_pairs
+    from speclab.measures import _min_pairwise_gap, _near_pairs
     rng = np.random.default_rng(11)
     for size, groups, step, tol in ((300, 4, 0.1, 0.3), (500, 7, 0.1, 0.25),
                                     (200, 3, 1e-3, 1e-12), (64, 1, 0.5, 1.0)):
@@ -203,6 +212,8 @@ def test_near_pairs_1d_matches_loop():
         hits, cross = _near_pairs(vals[:, None], prefixes, tol)
         assert hits == oracles.near_pairs_1d_loop(vals, prefixes, tol)
         assert cross == int((prefixes[:, None] != prefixes[None, :]).sum()) // 2
+        assert _min_pairwise_gap(vals[:, None]) == \
+            oracles.min_pairwise_gap_loop(vals[:, None])
 
 
 def test_near_pairs_and_gap_sweep_match_loop_in_2d_and_3d():

@@ -46,6 +46,9 @@ def test_coupling_entries_are_integers():
     for c in ([[3.0]], np.array([[3]]), 3):
         assert quasi_product_spec(*args, c=c).C == ((3,),)
     assert quasi_product_spec(*args, c=[[0]]).C is None
+    # an integer past 2^53 is read exactly, not rounded through a float
+    spec = quasi_product_spec(*args, c=[[2**53 + 1]])
+    assert build_quasi_product(spec).R.rows[1][0] == 2**53 + 1
     # 1.5 is refused, not truncated to 1
     for c in ([[1.5]], 1.5, [[float("nan")]]):
         with pytest.raises(ValueError, match="expected an integer"):

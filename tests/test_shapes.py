@@ -71,6 +71,7 @@ def test_wrong_widths_raise_dimension_mismatch(
                                          [[0.5, 0.5]]),
         "EnsembleConfig, 2-D generator for a 1-D family":
             lambda: EnsembleConfig(two_digit_family, lat2),
+        "EnsembleConfig, empty family": lambda: EnsembleConfig([], lat1),
         "quasi_product_spec, 1x2 coupling for r = d = 1":
             lambda: quasi_product_spec(2, [0, 1], [0, 1], 2, [[0, 1], [0, 3]],
                                        [0, 1], c=[[1, 0]]),

@@ -152,6 +152,37 @@ def test_cli_handlers_read_only_declared_options():
     assert undeclared == {}, f"handlers read options they do not define: {undeclared}"
 
 
+def test_one_mask_kernel_and_one_system_constructor():
+    # m_B is evaluated in one place: every np.exp of a 2 pi i phase sits in
+    # triples.mask_eval_many, which the transform, mask_eval and the
+    # Parseval defect all call
+    found = [(path.name, node.lineno)
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and _dotted(node.func) in ("np.exp", "numpy.exp")
+             and any(isinstance(c, ast.Constant) and isinstance(c.value, complex)
+                     for c in ast.walk(node))]
+    kernel = next(f for f in ast.parse((SRC / "triples.py").read_text()).body
+                  if isinstance(f, ast.FunctionDef) and f.name == "mask_eval_many")
+    assert len(found) == 1 and found[0][0] == "triples.py" and \
+        kernel.lineno <= found[0][1] <= kernel.end_lineno, \
+        f"masks evaluated outside the kernel: {found}"
+    # the second paths stay gone: the 1-D pair count, the vector-set
+    # helper beside the one class body, and the CLI's table of system fields
+    retired = {"_close_pairs_sorted", "_as_vector_set", "_UNUSABLE"}
+    assert _names_in_package(retired) == []
+    # the CLI decides no system kind: it names no factory and builds every
+    # system by one ConvolutionSystem call, whose __post_init__ rules
+    cli = ast.parse((SRC / "cli.py").read_text())
+    names = {getattr(n, "id", None) or getattr(n, "name", None)
+             for n in ast.walk(cli)}
+    assert names.isdisjoint({"self_affine", "periodic_word", "random_word",
+                             "general_product"})
+    assert len([n for n in ast.walk(cli) if isinstance(n, ast.Call)
+                and _dotted(n.func) == "ConvolutionSystem"]) == 1
+
+
 # the exact level layer: the level sequence, its table and its level words
 LEVEL_NAMES = {"DEFAULT_TARGET", "DEFAULT_MAX_DEPTH", "TruncationPolicy",
                "DEFAULT_POLICY", "ConvolutionSystem", "self_affine",
