@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import (DimensionMismatch, ExactCheckFailed, MismatchedRL,
-                     NonIntegerElement)
+from .errors import (DimensionMismatch, ExactCheckFailed, InvalidInput,
+                     MismatchedRL, NonIntegerElement)
 from .linalg import IntMatrix, as_int_vector, inverse, mat_pow
 from .triples import (HadamardTriple, cycle_containment_radius,
                       mask_is_extreme_at, tau_exact)
@@ -81,7 +81,7 @@ def fixed_point_of_word(t: HadamardTriple, word: Sequence) -> RatPoint:
     """
     ls = [as_int_vector(l, t.dim) for l in word]
     if not ls:
-        raise ValueError("word must be nonempty")
+        raise InvalidInput("word must be nonempty")
     rt = t.R.transpose()
     rhs = (0,) * t.dim
     for l in ls:
@@ -116,7 +116,7 @@ def common_extreme_cycles(triples: Sequence[HadamardTriple],
     enumerated once and extremity is tested against each digit set.
     """
     if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+        raise InvalidInput("m_max must be >= 1")
     base = triples[0]
     for t in triples[1:]:
         if t.R != base.R or t.L != base.L:
@@ -168,7 +168,7 @@ def dynamically_simple_spectrum(t: HadamardTriple,
         raise DimensionMismatch(f"the level must be >= 0, got {n}")
     seeds = cycle_points(cycles)
     if not seeds:
-        raise ValueError("need at least one cycle (the trivial {0} always exists)")
+        raise InvalidInput("need at least one cycle (the trivial {0} always exists)")
     level: set[tuple[int, ...]] = set()
     for p in seeds:
         if any(x.denominator != 1 for x in p):

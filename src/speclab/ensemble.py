@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotCompleteResidue
+from .errors import DimensionMismatch, InvalidInput, NotCompleteResidue
 from .linalg import is_complete_residue_set
 from .levels import DEFAULT_POLICY, TruncationPolicy, random_word
 from .measures import _as_basis, _as_points
@@ -27,10 +27,13 @@ from .spectra import (SpectrumGenerator, _grid_points, _q_grid, _require_dim,
 from .triples import HadamardTriple
 
 
-def _word(n_letters: int, length: int, seed: int, k: int) -> tuple[int, ...]:
-    """Word k of an ensemble, drawn from the stream seeded by (seed, k)."""
-    rng = np.random.default_rng([seed, k])
-    return tuple(int(x) for x in rng.integers(0, n_letters, size=length))
+@functools.lru_cache(maxsize=8)
+def _words(n_letters: int, length: int, count: int,
+           seed: int) -> tuple[tuple[int, ...], ...]:
+    """The words of `sample_words`, drawn once and shared by the reports."""
+    return tuple(tuple(int(x) for x in np.random.default_rng([seed, k])
+                       .integers(0, n_letters, size=length))
+                 for k in range(count))
 
 
 def sample_words(n_letters: int, length: int, count: int,
@@ -38,8 +41,8 @@ def sample_words(n_letters: int, length: int, count: int,
     """count uniform words over {0..n_letters-1}; word k comes from the
     stream seeded by (seed, k)."""
     if n_letters < 1 or length < 1 or count < 1 or seed < 0:
-        raise ValueError("need n_letters, length, count >= 1 and seed >= 0")
-    return [_word(n_letters, length, seed, k) for k in range(count)]
+        raise InvalidInput("need n_letters, length, count >= 1 and seed >= 0")
+    return list(_words(n_letters, length, count, seed))
 
 
 @dataclass
@@ -82,7 +85,7 @@ class EnsembleConfig:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class SampleVerdict:
     index: int
     word: tuple[int, ...]
@@ -135,7 +138,7 @@ class EnsembleReport:
 
 def _sample(cfg: EnsembleConfig, check, k: int) -> SampleVerdict:
     """Verdict for word k; check(sys) gives (passed, min_q, max_q)."""
-    word = _word(len(cfg.triples), cfg.word_length, cfg.seed, k)
+    word = _words(len(cfg.triples), cfg.word_length, cfg.samples, cfg.seed)[k]
     try:
         passed, min_q, max_q = check(random_word(cfg.triples, word, tail=cfg.tail))
         return SampleVerdict(k, word, passed, min_q, max_q)

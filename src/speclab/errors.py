@@ -5,6 +5,10 @@ class SpeclabError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidInput(SpeclabError, ValueError):
+    """An argument is outside the values the function accepts."""
+
+
 class SingularMatrix(SpeclabError):
     """Exact linear solve hit a singular matrix."""
 

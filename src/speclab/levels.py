@@ -10,12 +10,14 @@ when first called.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 from operator import add
 from typing import TYPE_CHECKING, Sequence
 
+from .errors import InvalidInput
 from .linalg import IntMatrix, identity, inv_transpose_series, inverse
 from .triples import HadamardTriple
 
@@ -47,7 +49,7 @@ class ConvolutionSystem:
     tail: "repeat_last" | "finite" (what happens beyond the explicit data) of
         random_word ("repeat_last" by default) and general ("finite")
     Which fields each kind takes is decided here alone: a field its kind
-    cannot use raises ValueError rather than being ignored.
+    cannot use raises InvalidInput rather than being ignored.
 
     Every kind is one level sequence: the letters (indices into `triples`)
     of an explicit prefix, then a period repeated forever, empty when the
@@ -60,40 +62,40 @@ class ConvolutionSystem:
     triples: tuple[HadamardTriple, ...]
     word: tuple[int, ...] | None = None
     tail: str | None = None
-    _caches: dict = field(default_factory=dict, repr=False, compare=False)
+    _caches: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("self_affine", "periodic", "random_word", "general"):
-            raise ValueError(f"unknown system kind {self.kind!r}")
+            raise InvalidInput(f"unknown system kind {self.kind!r}")
         if self.kind in ("self_affine", "general") and self.word is not None:
-            raise ValueError(f"{self.kind} system takes no 'word' field")
+            raise InvalidInput(f"{self.kind} system takes no 'word' field")
         if self.kind in ("self_affine", "periodic") and self.tail is not None:
-            raise ValueError(f"{self.kind} system takes no 'tail' field")
+            raise InvalidInput(f"{self.kind} system takes no 'tail' field")
         if self.tail is None:
             self.tail = "finite" if self.kind == "general" else "repeat_last"
         if self.tail not in ("repeat_last", "finite"):
-            raise ValueError(f"unknown tail convention {self.tail!r}")
+            raise InvalidInput(f"unknown tail convention {self.tail!r}")
         if not self.triples:
-            raise ValueError("need at least one triple")
+            raise InvalidInput("need at least one triple")
         for t in self.triples:
             t.require_verified()
         d = self.triples[0].dim
         if any(t.dim != d for t in self.triples):
-            raise ValueError("triples have mixed dimensions")
+            raise InvalidInput("triples have mixed dimensions")
         if self.kind in ("periodic", "random_word"):
             if not self.word:
-                raise ValueError(f"{self.kind} system needs a digit word")
+                raise InvalidInput(f"{self.kind} system needs a digit word")
             if any(not 0 <= w < len(self.triples) for w in self.word):
-                raise ValueError("word digits out of range")
+                raise InvalidInput("word digits out of range")
         if self.kind == "random_word":
             r0, l0, m0 = self.triples[0].R, self.triples[0].L, len(self.triples[0].B)
             for t in self.triples[1:]:
                 if t.R != r0 or t.L != l0 or len(t.B) != m0:
-                    raise ValueError(
+                    raise InvalidInput(
                         "random-word triples must share R, L, and digit count")
         if self.kind == "self_affine":
             if len(self.triples) != 1:
-                raise ValueError("self-affine system takes exactly one triple")
+                raise InvalidInput("self-affine system takes exactly one triple")
             self._letters = ((), (0,))
         elif self.kind == "periodic":
             self._letters = ((), tuple(self.word))
@@ -102,6 +104,10 @@ class ConvolutionSystem:
                    else tuple(range(len(self.triples))))
             self._letters = ((seq, ()) if self.tail == "finite"
                              else (seq[:-1], seq[-1:]))
+        # one table per R sequence, shared by every word of a random-word family
+        self._caches = _shared_caches(
+            tuple(t.R for t in self.prefix), tuple(t.R for t in self.period),
+            frozenset(t.R for t in self.triples))
 
     # -- level structure ---------------------------------------------------
 
@@ -132,7 +138,7 @@ class ConvolutionSystem:
     def letter_at(self, k: int) -> int | None:
         """Index into `triples` of level k >= 1; None past a finite tail."""
         if k < 1:
-            raise ValueError("levels are 1-indexed")
+            raise InvalidInput("levels are 1-indexed")
         prefix, period = self._letters
         if k <= len(prefix):
             return prefix[k - 1]
@@ -194,14 +200,16 @@ class ConvolutionSystem:
         The one place C_k is built: C_k = C_{k-1} adj(R_k) / det(R_k) keeps
         N_k and D_k integers, and C_k = C_{k-1} past a finite tail.
         """
-        table = self._caches.setdefault("levels", [])
+        table = self._caches.get("levels", [])
         if len(table) < upto:
+            table = list(table)  # stored whole: sharers never see it half built
             num, den = table[-1] if table else (identity(self.dim), 1)
             for k in range(len(table) + 1, upto + 1):
                 if (t := self.triple_at(k)) is not None:
                     adj, det_r = inverse(t.R)
                     num, den = num @ adj, den * det_r
                 table.append((num, den))
+            self._caches["levels"] = table
         return table[:upto]
 
     def cumulative_inverse(self, upto: int) -> np.ndarray:
@@ -213,8 +221,13 @@ class ConvolutionSystem:
             rows = [[[x / den for x in row] for row in num.rows]
                     for num, den in self._level_table(upto)]
             flt = np.array(rows, dtype=float).reshape(-1, self.dim, self.dim)
+            flt.flags.writeable = False  # shared by every system of these R's
             self._caches["levels_float"] = flt
         return flt[:upto]
+
+
+# one cache per (prefix R's, period R's, family R's), bounded
+_shared_caches = functools.lru_cache(maxsize=64)(lambda *rs: {})
 
 
 # -- factories --------------------------------------------------------------
@@ -280,7 +293,7 @@ def lambda_n(sys: ConvolutionSystem, n: int) -> list[tuple[int, ...]]:
     warning.
     """
     if n < 1:
-        raise ValueError("level must be >= 1")
+        raise InvalidInput("level must be >= 1")
     vals = lambda_word_values(sys, n)
     out = sorted(set(vals))
     if len(out) != len(vals):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import ExactCheckFailed, NotContractive, SingularMatrix
+from .errors import ExactCheckFailed, InvalidInput, NotContractive, SingularMatrix
 
 IntVector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
@@ -36,7 +36,7 @@ class IntMatrix:
     def __post_init__(self):
         d = len(self.rows)
         if d == 0 or any(len(r) != d for r in self.rows):
-            raise ValueError("matrix must be square and nonempty")
+            raise InvalidInput("matrix must be square and nonempty")
 
     @property
     def dim(self) -> int:
@@ -68,7 +68,7 @@ def _int_entry(x) -> int:
     x = _plain(x)
     if isinstance(x, (int, float, Fraction)) and x % 1 == 0:
         return int(x)
-    raise ValueError(f"expected an integer, got {x!r}")
+    raise InvalidInput(f"expected an integer, got {x!r}")
 
 
 def as_int_matrix(m) -> IntMatrix:
@@ -83,7 +83,7 @@ def as_int_matrix(m) -> IntMatrix:
         return IntMatrix(((_int_entry(rows[0]),),))
     if not rows or any(not isinstance(r, (list, tuple)) or len(r) != len(rows)
                        for r in rows):
-        raise ValueError(f"not a square matrix: {m!r}")
+        raise InvalidInput(f"not a square matrix: {m!r}")
     return IntMatrix(tuple(tuple(map(_int_entry, r)) for r in rows))
 
 
@@ -95,7 +95,7 @@ def as_int_vector(v, dim: int | None = None) -> IntVector:
     else:
         out = (_int_entry(v),)
     if dim is not None and len(out) != dim:
-        raise ValueError(f"expected a {dim}-vector, got {out}")
+        raise InvalidInput(f"expected a {dim}-vector, got {out}")
     return out
 
 
@@ -105,7 +105,7 @@ def as_rat_vector(v, dim: int | None = None) -> RatVector:
     else:
         out = tuple(Fraction(x) for x in v)
     if dim is not None and len(out) != dim:
-        raise ValueError(f"expected a {dim}-vector, got {out}")
+        raise InvalidInput(f"expected a {dim}-vector, got {out}")
     return out
 
 

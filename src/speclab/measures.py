@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidInput
 from .levels import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
                      _atom_count, level_word_sums)
 from .linalg import residue_classes_distinct
-from .triples import HadamardTriple, mask_eval_many
+from .triples import HadamardTriple, _mask
 
 # -- Fourier transform -------------------------------------------------------
 
@@ -81,7 +81,7 @@ def _ft_product(sys: ConvolutionSystem, pts: np.ndarray, depth: int,
     cum = sys.cumulative_inverse(depth)
     for k in range(skip_upto + 1, depth + 1):
         if (t := sys.triple_at(k)) is not None:
-            vals *= mask_eval_many(t.B, pts @ -cum[k - 1])
+            vals *= _mask(t.B, pts @ -cum[k - 1])
     return vals
 
 
@@ -111,7 +111,7 @@ def ft_tail_eval_many(sys: ConvolutionSystem, n: int, xi,
                       pol: TruncationPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
     """Transform of the tail measure mu_{>n} at an array of points."""
     if n < 0:
-        raise ValueError("level must be >= 0")
+        raise InvalidInput("level must be >= 0")
     return ft_eval_many(sys, xi, pol, skip_upto=n)
 
 
@@ -146,7 +146,7 @@ def sample_support(sys: ConvolutionSystem, n: int, count: int,
                    seed: int = 0) -> np.ndarray:
     """count i.i.d. draws of sum_{k<=n} (R_k...R_1)^{-1} b_k, uniform digits."""
     if n < 1:
-        raise ValueError("need at least one digit level")
+        raise InvalidInput("need at least one digit level")
     return _sample_atoms(sys, n, count, np.random.default_rng(seed))[1]
 
 
@@ -192,7 +192,7 @@ def no_overlap_assess(sys: ConvolutionSystem, n: int, samples: int = 4096,
     bound; sampling never upgrades to Proven.
     """
     if n < 1:
-        raise ValueError("level must be >= 1")
+        raise InvalidInput("level must be >= 1")
     triples_used = {id(t): t for t in map(sys.triple_at, range(1, n + 1))
                     if t is not None}
     if all(len(t.B) == 1 for t in triples_used.values()):

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidPadding, VerificationFailed
+from .errors import DimensionMismatch, InvalidInput, InvalidPadding, VerificationFailed
 from .linalg import (IntMatrix, _plain, as_int_matrix, as_int_vector,
                      inv_transpose_series, inverse_float)
 from .levels import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
@@ -44,10 +44,10 @@ class QuasiProductSpec:
 
     def __post_init__(self):
         if len(self.a) != len(self.B_family):
-            raise ValueError("need one digit set per outer digit")
+            raise InvalidInput("need one digit set per outer digit")
         m = len(self.B_family[0])
         if any(len(b) != m for b in self.B_family):
-            raise ValueError("inner digit sets must share a common size")
+            raise InvalidInput("inner digit sets must share a common size")
 
     @property
     def outer_size(self) -> int:
@@ -175,7 +175,7 @@ def fiber_system(spec: QuasiProductSpec, word, tail: str = "repeat_last",
     """
     w = tuple(int(x) for x in word)
     if any(not 0 <= x < spec.outer_size for x in w):
-        raise ValueError("word digits out of range for the outer digit set")
+        raise InvalidInput("word digits out of range for the outer digit set")
     sys = random_word(spec.inner_triples(), w, tail=tail)
     r = spec.outer_dim
     a = np.zeros((spec.outer_size, r + spec.inner_dim))

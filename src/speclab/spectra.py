@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, SizeCap, VerificationFailed
+from .errors import DimensionMismatch, InvalidInput, SizeCap, VerificationFailed
 from .levels import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
                      _atom_count, lambda_n, lambda_word_values)
 from .measures import (_as_basis, _as_point, _as_points, _ft_product,
@@ -222,7 +222,7 @@ def strichartz_report(sys: ConvolutionSystem, n_max: int,
     accordingly.
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise InvalidInput("n_max must be >= 1")
     rows = []
     for n in range(1, n_max + 1):
         fn = build_fn(sys, n, pol, cap)

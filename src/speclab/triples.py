@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import DimensionMismatch, VerificationFailed
+from .errors import DimensionMismatch, InvalidInput, VerificationFailed
 from .linalg import (IntMatrix, as_int_matrix, as_int_vector, as_rat_vector,
                      contraction_factor, inv_transpose_series, inverse,
                      inverse_float, is_expansive, RatVector)
@@ -37,13 +37,13 @@ class _VectorSet:
     def of(cls, vs):
         vecs = tuple(as_int_vector(v) for v in vs)
         if not vecs:
-            raise ValueError(f"{cls._what} must be nonempty")
+            raise InvalidInput(f"{cls._what} must be nonempty")
         if len({len(v) for v in vecs}) > 1:
-            raise ValueError(f"{cls._what} vectors have mixed dimensions")
+            raise InvalidInput(f"{cls._what} vectors have mixed dimensions")
         if len(set(vecs)) != len(vecs):
-            raise ValueError(f"{cls._what} contains duplicates")
+            raise InvalidInput(f"{cls._what} contains duplicates")
         if (0,) * len(vecs[0]) not in vecs:
-            raise ValueError(f"{cls._what} must contain the zero vector")
+            raise InvalidInput(f"{cls._what} must contain the zero vector")
         return cls(vecs)
 
     @property
@@ -95,7 +95,7 @@ class HadamardTriple:
         if self.B.dim != self.R.dim or self.L.dim != self.R.dim:
             raise DimensionMismatch("digit/frequency dimension != matrix dimension")
         if not is_expansive(self.R):
-            raise ValueError("R is not expansive")
+            raise InvalidInput("R is not expansive")
 
     @property
     def dim(self) -> int:
@@ -177,9 +177,19 @@ def mask_eval(digits: DigitSet | Iterable, xi) -> complex:
 
 
 def mask_eval_many(digits: DigitSet, xs: np.ndarray) -> np.ndarray:
-    """Vectorized m_B over points of shape (..., d): the one mask kernel."""
+    """Vectorized m_B over points of shape (..., d)."""
+    return _mask(digits, xs)
+
+
+def _mask(digits: DigitSet, xs: np.ndarray) -> np.ndarray:
+    """The one mask kernel: one contiguous exp per nonzero digit and the
+    exact 1 for b = 0, summed in digit order as numpy's mean sums them."""
     import numpy as np
-    return np.exp(2j * np.pi * (xs @ digits.as_numpy().T)).mean(axis=-1)
+    if len(digits) == 1:
+        return np.ones(np.shape(xs)[:-1], dtype=complex)
+    terms = [np.exp(2j * np.pi * np.matmul(xs, b)) if any(b) else 1.0
+             for b in digits.vectors]
+    return sum(terms[1:], terms[0]) / len(digits)
 
 
 def mask_is_extreme_at(digits: DigitSet | Iterable, x) -> bool:

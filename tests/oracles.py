@@ -382,3 +382,18 @@ def min_pairwise_gap_loop(pts) -> float:
     for i in range(len(pts) - 1):
         best = min(best, float(np.linalg.norm(pts[i + 1:] - pts[i], axis=1).min()))
     return best
+
+
+def mask_reference(digits, x) -> complex:
+    """m_B(x) = sum_b exp(2 pi i <b, x>) / |B| at one point, term by term
+    with cmath; `digits` lists integer vectors and x is one point."""
+    return sum(cmath.exp(2j * math.pi * sum(bi * xi for bi, xi in zip(b, x)))
+               for b in digits) / len(digits)
+
+
+def mask_mean_formula(digits, xs) -> np.ndarray:
+    """m_B over points xs of shape (..., d) as one exp of the whole phase
+    matrix xs B^T and its mean over the digit axis: the formula the
+    per-digit kernel replaced, kept as its reference."""
+    b = np.asarray(digits, dtype=float).reshape(len(digits), -1)
+    return np.exp(2j * np.pi * (xs @ b.T)).mean(axis=-1)

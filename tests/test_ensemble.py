@@ -47,6 +47,25 @@ def test_ensemble_reproducible_and_worker_independent(two_digit_family):
     assert rep1.pass_fraction == rep2.pass_fraction
 
 
+def test_reports_share_words_and_verdicts_pickle(two_digit_family):
+    # the words of one config are drawn once: both reports hold the same
+    # tuples; verdicts are slotted records, and a pool of two gives the
+    # verdicts of one process
+    cfg = _family_cfg(two_digit_family, samples=6, seed=11)
+    spec = ensemble_spectrum_report(cfg)
+    tile = ensemble_tiling_report(cfg, 1.0)
+    assert all(s.word is t.word for s, t in zip(spec.verdicts, tile.verdicts))
+    assert [v.word for v in spec.verdicts] == sample_words(2, 20, 6, seed=11)
+    assert not hasattr(spec.verdicts[0], "__dict__")
+    cfg.workers = 2
+    pooled = ensemble_spectrum_report(cfg)
+
+    def fields(rep):
+        return [(v.index, v.word, v.min_q, v.max_q, v.passed, v.error)
+                for v in rep.verdicts]
+    assert fields(pooled) == fields(spec)
+
+
 def test_ensemble_matches_external_oracle(two_digit_family):
     # per-sample minimum Q agrees with a plain-math product evaluation
     cfg = _family_cfg(two_digit_family, samples=5)

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from speclab import (ConvolutionSystem, TruncationPolicy, ft_eval,
+from speclab import (ConvolutionSystem, SpeclabError, TruncationPolicy, ft_eval,
                      ft_eval_many, ft_partial_eval, ft_tail_eval,
                      general_product, no_overlap_assess, periodic_word,
-                     random_word, sample_support, self_affine, support_bbox,
-                     triple)
+                     random_word, sample_support, sample_words, self_affine,
+                     support_bbox, triple)
 
 import oracles
 
@@ -148,6 +148,26 @@ def test_periodic_and_word_systems(two_digit_family):
                         ("periodic", {"word": (0,), "tail": "repeat_last"})):
         with pytest.raises(ValueError, match="takes no"):
             ConvolutionSystem(kind, tuple(two_digit_family[:1]), **field)
+
+
+def test_norm_series_reads_the_whole_family():
+    # systems with one level table share a cache, but the norm series reads
+    # every R of the family: a period over the R = 3 triple of a family that
+    # also holds R = 2 keeps the looser series, whichever system asked first
+    r3, r2 = triple(3, [0, 1, 2], [0, 1, 2]), triple(2, [0, 1], [0, 1])
+    assert periodic_word([r3, r2], [0]).tail_norm_sum(1) == pytest.approx(0.5)
+    assert self_affine(r3).tail_norm_sum(1) == pytest.approx(1 / 6)
+
+
+def test_bad_input_is_a_speclab_error(two_digit_family):
+    # library callers catch every refusal as a SpeclabError; the ValueError
+    # it also is keeps older `except ValueError` callers working
+    with pytest.raises(SpeclabError, match="unknown system kind"):
+        ConvolutionSystem("bogus", tuple(two_digit_family))
+    with pytest.raises(SpeclabError, match="n_letters"):
+        sample_words(0, 5, 1)
+    with pytest.raises(ValueError, match="n_letters"):
+        sample_words(0, 5, 1)
 
 
 def test_bad_word_closed_form(two_digit_family):

@@ -18,7 +18,7 @@ from speclab import (LatticeGenerator, SingularMatrix, TruncationPolicy,
 from speclab.levels import _atom_count, lambda_word_values
 from speclab.linalg import _faddeev_leverrier, charpoly, inverse, inverse_float
 from speclab.measures import _exact_atoms
-from speclab.triples import parseval_defect
+from speclab.triples import DigitSet, mask_eval_many, parseval_defect
 
 import oracles
 
@@ -108,6 +108,55 @@ MIXED_2D = (triple([[2, 0], [0, 2]], [(0, 0), (1, 0), (0, 1), (1, 1)],
             triple([[3, 1], [0, 2]], [(i, j) for i in range(3) for j in range(2)],
                    [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]))
 mixed_seqs = st.lists(st.integers(0, len(MIXED) - 1), min_size=1, max_size=30)
+
+
+def _digit_sets(d):
+    """Up to 16 distinct digits of R^d with 0 at any position."""
+    entries = st.integers(-8, 8) if d == 1 else st.integers(-4, 4)
+    nonzero = st.tuples(*[entries] * d).filter(any)
+    return st.lists(nonzero, max_size=15, unique=True).flatmap(
+        lambda bs: st.integers(0, len(bs)).map(
+            lambda i: [*bs[:i], (0,) * d, *bs[i:]]))
+
+
+@given(data=st.data(), d=st.sampled_from([1, 2]))
+def test_mask_kernel_matches_per_point_sum(data, d):
+    """One exp per nonzero digit agrees with a per-point cmath sum, and with
+    two digits in 1-D it is bit for bit the one-exp-and-mean formula it
+    replaced (in 2-D the phase <b, x> is a matrix-vector product, which
+    numpy may round differently from the matrix product's)."""
+    digits = data.draw(_digit_sets(d))
+    xs = np.array(data.draw(st.lists(
+        st.tuples(*[st.floats(-1, 1)] * d), min_size=1, max_size=8)))
+    got = mask_eval_many(DigitSet.of(digits), xs)
+    assert got.shape == (len(xs),) and got.dtype == complex
+    ref = [oracles.mask_reference(digits, x) for x in xs]
+    assert np.abs(got - ref).max() <= 1e-14
+    if len(digits) == 2 and d == 1:
+        assert got.tobytes() == oracles.mask_mean_formula(digits, xs).tobytes()
+
+
+@given(words=st.lists(st.integers(0, len(FAMILY) - 1), min_size=1,
+                      max_size=8).flatmap(lambda w: st.tuples(
+                          st.just(w), st.permutations(w))),
+       tail=tails, seq=mixed_seqs.filter(lambda s: len({MIXED[i].R for i in s}) > 1))
+def test_words_of_one_family_share_one_level_table(words, tail, seq):
+    """Every word of a family of one R reads one exact table, the oracle's;
+    a sequence of mixed R's has a table of its own."""
+    a, b = (random_word(FAMILY, w, tail=tail) for w in words)
+    mixed = general_product([MIXED[i] for i in seq])
+    assert a._caches is b._caches
+    assert mixed._caches is not a._caches
+    n = len(words[0]) + 2
+    levels = [2] * (n if tail == "repeat_last" else len(words[0]))
+    levels += [None] * (n - len(levels))
+    exact = oracles.cumulative_inverses([r for r in levels if r is not None])
+    exact += exact[-1:] * (n - len(exact))
+    table = a._level_table(n)
+    assert b._level_table(n) == table
+    assert [[[Fraction(x, den) for x in row] for row in num.rows]
+            for num, den in table] == exact
+    assert np.shares_memory(a.cumulative_inverse(n), b.cumulative_inverse(n))
 
 
 def _int_matrix(t):

@@ -18,6 +18,17 @@ def test_no_assert_statements_in_the_package():
     assert found == [], f"assert statements in src/speclab: {found}"
 
 
+def test_bad_input_raises_a_speclab_error():
+    # a bare ValueError escapes `except SpeclabError`; bad input raises
+    # errors.InvalidInput, which is both a SpeclabError and a ValueError
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and _dotted(getattr(node.exc, "func", node.exc)) == "ValueError"]
+    assert found == [], f"bare ValueErrors raised in src/speclab: {found}"
+
+
 def _dotted(node) -> str:
     """`np.linalg.inv` for the callee of a call, or '' if it is no name."""
     if isinstance(node, ast.Attribute):
@@ -154,8 +165,8 @@ def test_cli_handlers_read_only_declared_options():
 
 def test_one_mask_kernel_and_one_system_constructor():
     # m_B is evaluated in one place: every np.exp of a 2 pi i phase sits in
-    # triples.mask_eval_many, which the transform, mask_eval and the
-    # Parseval defect all call
+    # the private triples._mask, which the transform calls directly and
+    # mask_eval_many (for mask_eval and the Parseval defect) wraps
     found = [(path.name, node.lineno)
              for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
@@ -164,10 +175,16 @@ def test_one_mask_kernel_and_one_system_constructor():
              and any(isinstance(c, ast.Constant) and isinstance(c.value, complex)
                      for c in ast.walk(node))]
     kernel = next(f for f in ast.parse((SRC / "triples.py").read_text()).body
-                  if isinstance(f, ast.FunctionDef) and f.name == "mask_eval_many")
+                  if isinstance(f, ast.FunctionDef) and f.name == "_mask")
     assert len(found) == 1 and found[0][0] == "triples.py" and \
         kernel.lineno <= found[0][1] <= kernel.end_lineno, \
         f"masks evaluated outside the kernel: {found}"
+    # the transform calls the kernel itself, not its public entry, so the
+    # mask work counts as transform time wherever public names are wrapped
+    ft = next(f for f in ast.parse((SRC / "measures.py").read_text()).body
+              if isinstance(f, ast.FunctionDef) and f.name == "_ft_product")
+    calls = {_dotted(n.func) for n in ast.walk(ft) if isinstance(n, ast.Call)}
+    assert "_mask" in calls and "mask_eval_many" not in calls
     # the second paths stay gone: the 1-D pair count, the vector-set
     # helper beside the one class body, and the CLI's table of system fields
     retired = {"_close_pairs_sorted", "_as_vector_set", "_UNUSABLE"}
@@ -229,7 +246,7 @@ def test_one_exact_level_layer_without_object_arrays():
     assert found == [], f"object arrays in src/speclab: {found}"
     levels = ast.parse((SRC / "levels.py").read_text())
     assert _imports_at_load(levels.body) - set(sys.stdlib_module_names) == {
-        ".linalg", ".triples"}
+        ".errors", ".linalg", ".triples"}
     # each name of the layer is defined once, in levels.py; others import it
     homes = {name: sorted(path.name for path in SRC.glob("*.py")
                           if name in _defined(ast.parse(path.read_text())))
