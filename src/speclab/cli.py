@@ -11,9 +11,9 @@ Input schemas: see the CLI section of the README.
 Each process runs one command, so only the standard library and the exact
 triple layer (``errors``, ``linalg``, ``triples``) load at start-up; every
 command imports the modules it runs. ``verify`` and ``spectrum`` load no
-numpy: they read exact integer phases, Lambda_n on int tuples (``levels``)
-or exact cycles. Every other command loads numpy for a float array or a
-transform, and ``cycles`` for the float containment radius.
+numpy: they read exact integer phases or the one level-set construction
+on int tuples (``levels``). Every other command loads numpy for a float
+array or a transform, and ``cycles`` for the float containment radius.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ expansive R, and is solved by `linalg.inverse`, whose adjugate and
 determinant come from one integer Faddeev-LeVerrier pass per period),
 and extremity |m_B| = 1 is decided by integrality of <b, x>.
 Words are enumerated as primitive necklaces so each cycle appears once.
+The spectrum they generate is the level set of `levels` seeded by -cycles.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import (DimensionMismatch, ExactCheckFailed, InvalidInput,
-                     MismatchedRL, NonIntegerElement)
+from .errors import (ExactCheckFailed, InvalidInput, MismatchedRL,
+                     NonIntegerElement)
+from .levels import _level_set, self_affine
 from .linalg import IntMatrix, as_int_vector, inverse, mat_pow
 from .triples import (HadamardTriple, cycle_containment_radius,
                       mask_is_extreme_at, tau_exact)
@@ -144,13 +146,16 @@ def common_extreme_cycles(triples: Sequence[HadamardTriple],
     return sorted(found.values(), key=lambda c: (c.period, c.points))
 
 
-def cycle_points(cycles: Iterable[ExtremeCycle]) -> list[RatPoint]:
-    pts: list[RatPoint] = []
-    for c in cycles:
-        for p in c.points:
-            if p not in pts:
-                pts.append(p)
-    return pts
+def _spectrum_seeds(cycles: Iterable[ExtremeCycle]) -> Iterable[tuple[int, ...]]:
+    """{-c : c cycle point} as integer vectors, level 0 of the cycle
+    spectrum; a generator, so that the level set checks its level first."""
+    points = [p for c in cycles for p in c.points]
+    if not points:
+        raise InvalidInput("need at least one cycle (the trivial {0} always exists)")
+    for p in points:
+        if any(x.denominator != 1 for x in p):
+            raise NonIntegerElement(f"cycle point {p} is not an integer vector")
+        yield tuple(-int(x) for x in p)
 
 
 def dynamically_simple_spectrum(t: HadamardTriple,
@@ -158,31 +163,13 @@ def dynamically_simple_spectrum(t: HadamardTriple,
                                 n: int) -> list[tuple[int, ...]]:
     """Level-n slice of the spectrum generated by extreme cycles.
 
-    Level 0 is {-c : c cycle point}; each further level applies
-    S -> R^T S + L. Because cycles are closed under the dual maps the levels
-    are nested, so level n holds every element writable with at most n digit
-    layers. All elements must be integer vectors; a non-integer element
-    means a non-extreme cycle was supplied.
+    Level n is Lambda_n + (R^T)^n {-c : c cycle point}, the level set of
+    `self_affine(t)` seeded by the negated cycle points; the cycles are closed
+    under the dual maps, so the levels are nested. All elements must be
+    integer vectors; a non-integer element means a non-extreme cycle was
+    supplied.
     """
-    if n < 0:
-        raise DimensionMismatch(f"the level must be >= 0, got {n}")
-    seeds = cycle_points(cycles)
-    if not seeds:
-        raise InvalidInput("need at least one cycle (the trivial {0} always exists)")
-    level: set[tuple[int, ...]] = set()
-    for p in seeds:
-        if any(x.denominator != 1 for x in p):
-            raise NonIntegerElement(f"cycle point {p} is not an integer vector")
-        level.add(tuple(-int(x) for x in p))
-    rt = t.R.transpose()
-    for _ in range(n):
-        nxt = set()
-        for lam in level:
-            base = rt.apply(lam)
-            for l in t.L.vectors:
-                nxt.add(tuple(base[i] + l[i] for i in range(t.dim)))
-        level = nxt
-    return sorted(level)
+    return _level_set(self_affine(t), n, _spectrum_seeds(cycles))
 
 
 def search_summary(triples: HadamardTriple | Sequence[HadamardTriple],

@@ -2,10 +2,11 @@
 
 A measure is the level sequence of Hadamard triples that generates it. Its
 level data are integers: the level table (R_k...R_1)^{-1} = N_k / D_k, the
-level-word sums of the atoms and Lambda_n = L_1 + R_1^T L_2 + .... This
-module computes them on plain integer tuples and loads no numpy; only the
-float views (`cumulative_inverse`, the norm series, digit norms) import it
-when first called.
+level-word sums of the atoms and the frequency levels Lambda_n +
+R_1^T...R_n^T S, one construction for Lambda_n = L_1 + R_1^T L_2 + ...
+(S = {0}) and the cycle spectrum (S = -cycles). This module computes them
+on plain integer tuples and loads no numpy; only the float views
+(`cumulative_inverse`, the norm series) import it when first called.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from operator import add
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import InvalidInput
+from .errors import DimensionMismatch, InvalidInput
 from .linalg import IntMatrix, identity, inv_transpose_series, inverse
 from .triples import HadamardTriple
 
@@ -286,18 +287,25 @@ def lambda_word_values(sys: ConvolutionSystem, n: int) -> list[tuple[int, ...]]:
 
 
 def lambda_n(sys: ConvolutionSystem, n: int) -> list[tuple[int, ...]]:
-    """Level-n frequency set, deduplicated and sorted.
-
-    A collision (fewer distinct sums than digit words) breaks the bijective
-    indexing the completeness criterion relies on, so it is reported as a
-    warning.
-    """
+    """Level-n frequency set, deduplicated and sorted."""
     if n < 1:
         raise InvalidInput("level must be >= 1")
+    return _level_set(sys, n)
+
+
+def _level_set(sys: ConvolutionSystem, n: int, seeds=None) -> list[tuple[int, ...]]:
+    """sorted{lambda + R_1^T...R_n^T s : lambda in Lambda_n, s in seeds}, for
+    integer seeds ({0} if None), read only after n is checked. A collision
+    among Lambda_n's digit words breaks the bijective indexing the
+    completeness criterion relies on, so it is reported as a warning."""
+    if n < 0:
+        raise DimensionMismatch(f"the level must be >= 0, got {n}")
     vals = lambda_word_values(sys, n)
-    out = sorted(set(vals))
-    if len(out) != len(vals):
-        warnings.warn(f"Lambda_{n} has collisions ({len(vals)} words, "
-                      f"{len(out)} distinct sums); orthogonality counting breaks",
-                      stacklevel=2)
-    return out
+    if len(set(vals)) != len(vals):
+        warnings.warn(f"Lambda_{n} has collisions ({len(vals)} words, {len(set(vals))} "
+                      "distinct sums); orthogonality counting breaks", stacklevel=3)
+    p = identity(sys.dim)  # R_1^T ... R_n^T, exact
+    for t in map(sys.triple_at, range(1, n + 1)):
+        p = p if t is None else p @ t.R.transpose()
+    shifts = [p.apply(s) for s in ([(0,) * sys.dim] if seeds is None else seeds)]
+    return sorted({tuple(map(add, lam, s)) for lam in vals for s in shifts})

@@ -193,6 +193,8 @@ def no_overlap_assess(sys: ConvolutionSystem, n: int, samples: int = 4096,
     """
     if n < 1:
         raise InvalidInput("level must be >= 1")
+    if samples < 1 or extra_depth < 0:
+        raise InvalidInput("need samples >= 1 and extra_depth >= 0")
     triples_used = {id(t): t for t in map(sys.triple_at, range(1, n + 1))
                     if t is not None}
     if all(len(t.B) == 1 for t in triples_used.values()):

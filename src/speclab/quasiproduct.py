@@ -331,6 +331,8 @@ def find_tiling_lattice(sys: ConvolutionSystem, window: int = 64,
                         tol: float = 1e-7) -> tuple[np.ndarray | None, TilingReport | None]:
     """First spatial sublattice of Z^d (by HNF enumeration, index <= cap)
     whose dual passes the tiling check; Z^d itself is tried first."""
+    if max_index < 1:
+        raise InvalidInput(f"max_index must be >= 1, got {max_index}")
     best = None
     for basis in _hnf_sublattices(sys.dim, max_index):
         g = dual_lattice_basis(basis)

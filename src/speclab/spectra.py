@@ -19,19 +19,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .cycles import ExtremeCycle, _spectrum_seeds
 from .errors import DimensionMismatch, InvalidInput, SizeCap, VerificationFailed
 from .levels import (ConvolutionSystem, DEFAULT_POLICY, TruncationPolicy,
-                     _atom_count, lambda_n, lambda_word_values)
+                     _atom_count, _level_set, lambda_n, lambda_word_values,
+                     self_affine)
 from .measures import (_as_basis, _as_point, _as_points, _ft_product,
                        ft_eval_many, ft_tail_eval_many)
 from .triples import HadamardTriple, mask_eval_many, tau_float_many
-
-if TYPE_CHECKING:
-    from .cycles import ExtremeCycle
 
 FN_SIZE_CAP = 2 ** 18
 
@@ -71,31 +70,32 @@ def _require_window(window: int) -> None:
 
 
 class LevelSetsGenerator(SpectrumGenerator):
-    """Lambda_n = L_1 + R_1^T L_2 + ... for the system's own triples."""
+    """Lambda_n + R_1^T...R_n^T S for the system's own triples, with S the
+    negated points of `cycles`: S = {0} without cycles (None), so level n is
+    Lambda_n = L_1 + R_1^T L_2 + ... and level 0 is {0}."""
+
+    cycles = None
 
     def __init__(self, sys: ConvolutionSystem):
         self.sys = sys
         self.dim = sys.dim
 
     def level(self, n: int) -> np.ndarray:
-        return np.array(lambda_n(self.sys, max(n, 1)), dtype=float)
+        seeds = None if self.cycles is None else _spectrum_seeds(self.cycles)
+        return np.array(_level_set(self.sys, n, seeds), dtype=float)
 
     def describe(self) -> dict:
         return {"kind": "level_sets"}
 
 
-class CycleSpectrumGenerator(SpectrumGenerator):
-    """Spectrum generated by extreme cycles, by digit-layer level."""
+class CycleSpectrumGenerator(LevelSetsGenerator):
+    """Spectrum generated by extreme cycles, by digit-layer level: the level
+    sets of `self_affine(t)` seeded by the cycles."""
 
     def __init__(self, t: HadamardTriple, cycles: Sequence[ExtremeCycle]):
+        super().__init__(self_affine(t))
         self.triple = t
         self.cycles = tuple(cycles)
-        self.dim = t.dim
-
-    def level(self, n: int) -> np.ndarray:
-        from .cycles import dynamically_simple_spectrum
-        pts = dynamically_simple_spectrum(self.triple, self.cycles, n)
-        return np.array(pts, dtype=float)
 
     def describe(self) -> dict:
         return {"kind": "cycle_spectrum",

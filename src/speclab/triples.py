@@ -66,8 +66,7 @@ class DigitSet(_VectorSet):
 
     @property
     def max_norm(self) -> float:
-        import numpy as np
-        return float(np.linalg.norm(self.as_numpy(), axis=1).max())
+        return math.sqrt(max(sum(x * x for x in v) for v in self.vectors))
 
 
 @dataclass(frozen=True)

@@ -250,6 +250,19 @@ def lambda_words(levels) -> list[tuple[int, ...]]:
             for word in itertools.product(*options)]
 
 
+def cycle_spectrum_horner(r, freqs, points, n: int) -> list[tuple[int, ...]]:
+    """Level n of the spectrum generated by integer cycle points, by
+    Horner's rule: level 0 is {-p : p in points} and each further level
+    applies S -> R^T S + L. `r` is a d x d integer list; `freqs` and
+    `points` hold d-vectors."""
+    level = {tuple(-int(x) for x in p) for p in points}
+    for _ in range(n):
+        level = {tuple(sum(r[j][i] * lam[j] for j in range(len(lam))) + l[i]
+                       for i in range(len(lam)))
+                 for lam in level for l in freqs}
+    return sorted(level)
+
+
 def bareiss_det(m) -> int:
     """Exact determinant of a square integer matrix (nested lists) by
     fraction-free Bareiss elimination."""

@@ -6,9 +6,9 @@ import pytest
 
 from speclab import (ConvolutionSystem, SpeclabError, TruncationPolicy, ft_eval,
                      ft_eval_many, ft_partial_eval, ft_tail_eval,
-                     general_product, no_overlap_assess, periodic_word,
-                     random_word, sample_support, sample_words, self_affine,
-                     support_bbox, triple)
+                     find_tiling_lattice, general_product, no_overlap_assess,
+                     periodic_word, random_word, sample_support, sample_words,
+                     self_affine, support_bbox, triple)
 
 import oracles
 
@@ -162,12 +162,27 @@ def test_norm_series_reads_the_whole_family():
 def test_bad_input_is_a_speclab_error(two_digit_family):
     # library callers catch every refusal as a SpeclabError; the ValueError
     # it also is keeps older `except ValueError` callers working
-    with pytest.raises(SpeclabError, match="unknown system kind"):
-        ConvolutionSystem("bogus", tuple(two_digit_family))
-    with pytest.raises(SpeclabError, match="n_letters"):
-        sample_words(0, 5, 1)
-    with pytest.raises(ValueError, match="n_letters"):
-        sample_words(0, 5, 1)
+    word = random_word(two_digit_family, (0,) + (1,) * 12)
+    cases = [
+        ("unknown system kind",
+         lambda: ConvolutionSystem("bogus", tuple(two_digit_family))),
+        ("n_letters", lambda: sample_words(0, 5, 1)),
+        # no sample pairs and no deeper level are refused, not estimated
+        # from 0 pairs or left to numpy
+        ("samples >= 1", lambda: no_overlap_assess(word, 6, samples=0, cap=16)),
+        ("samples >= 1", lambda: no_overlap_assess(word, 6, samples=-5, cap=16)),
+        ("extra_depth >= 0",
+         lambda: no_overlap_assess(word, 6, extra_depth=-3, cap=16)),
+        ("extra_depth >= 0",
+         lambda: no_overlap_assess(word, 6, extra_depth=-6, cap=16)),
+        # an index cap below 1 would try no lattice, not even Z^d
+        ("max_index must be >= 1",
+         lambda: find_tiling_lattice(word, window=4, max_index=0)),
+    ]
+    for message, call in cases:
+        with pytest.raises(SpeclabError, match=message) as caught:
+            call()
+        assert isinstance(caught.value, ValueError), message
 
 
 def test_bad_word_closed_form(two_digit_family):

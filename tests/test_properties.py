@@ -11,10 +11,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from speclab import (LatticeGenerator, SingularMatrix, TruncationPolicy,
-                     as_int_matrix, build_fn, det, ft_eval_many,
-                     general_product, hadamard_matrix, periodic_word, qp_eval,
-                     random_word, self_affine, triple)
+from speclab import (LatticeGenerator, LevelSetsGenerator, NonIntegerElement,
+                     SingularMatrix, TruncationPolicy, as_int_matrix,
+                     build_fn, build_quasi_product, det,
+                     dynamically_simple_spectrum, find_extreme_cycles,
+                     ft_eval_many, general_product, hadamard_matrix,
+                     periodic_word, qp_eval, quasi_product_spec, random_word,
+                     self_affine, triple)
 from speclab.levels import _atom_count, lambda_word_values
 from speclab.linalg import _faddeev_leverrier, charpoly, inverse, inverse_float
 from speclab.measures import _exact_atoms
@@ -124,8 +127,11 @@ def test_mask_kernel_matches_per_point_sum(data, d):
     """One exp per nonzero digit agrees with a per-point cmath sum, and with
     two digits in 1-D it is bit for bit the one-exp-and-mean formula it
     replaced (in 2-D the phase <b, x> is a matrix-vector product, which
-    numpy may round differently from the matrix product's)."""
+    numpy may round differently from the matrix product's). The exact digit
+    norm is bit for bit the numpy norm it replaced."""
     digits = data.draw(_digit_sets(d))
+    assert DigitSet.of(digits).max_norm == float(
+        np.linalg.norm(np.array(digits, dtype=float), axis=1).max())
     xs = np.array(data.draw(st.lists(
         st.tuples(*[st.floats(-1, 1)] * d), min_size=1, max_size=8)))
     got = mask_eval_many(DigitSet.of(digits), xs)
@@ -193,6 +199,37 @@ def test_lambda_words_match_bruteforce_oracle(seq, two_d, tail, n):
         None if i is None else (_int_matrix(levels[i]), levels[i].L.vectors)
         for i in letters])
     assert _atom_count(sys, n) == len(words)
+    # the level-sets generator serves the distinct sums, sorted
+    assert LevelSetsGenerator(sys).level(n).tolist() == [
+        list(map(float, v)) for v in sorted(set(words))]
+
+
+# 1-D and 2-D triples with 1 to 7 extreme cycles; (2, {0,3}, {0,7}) also
+# has cycles through non-integer points
+CYCLE_POOL = (triple(4, [0, 2], [0, 1]), triple(2, [0, 3], [0, 7]),
+              triple(3, [0, 1, 2], [0, 1, 2]), triple(4, [0, 2], [0, 3]),
+              MIXED_2D[0], MULTI_STEP,
+              build_quasi_product(quasi_product_spec(
+                  2, [0, 1], [0, 1], 2, [[0, 1], [0, 3]], [0, 1])))
+POOL_CYCLES = [find_extreme_cycles(t, 6 if t.dim == 1 else 3)
+               for t in CYCLE_POOL]
+
+
+@given(i=st.integers(0, len(CYCLE_POOL) - 1),
+       keep=st.sets(st.integers(0, 6), min_size=1), n=st.integers(0, 5))
+def test_cycle_spectrum_matches_horner_oracle(i, keep, n):
+    """The cycle spectrum at level n is Lambda_n + (R^T)^n S_0, the set the
+    Horner loop S -> R^T S + L reaches from S_0 = {-c : c cycle point}."""
+    t = CYCLE_POOL[i]
+    cycles = [c for k, c in enumerate(POOL_CYCLES[i]) if k in keep] \
+        or POOL_CYCLES[i][:1]
+    points = [p for c in cycles for p in c.points]
+    if any(x.denominator != 1 for p in points for x in p):
+        with pytest.raises(NonIntegerElement):
+            dynamically_simple_spectrum(t, cycles, n)
+        return
+    assert dynamically_simple_spectrum(t, cycles, n) == \
+        oracles.cycle_spectrum_horner(_int_matrix(t), t.L.vectors, points, n)
 
 
 @given(seq=st.lists(st.integers(0, len(MIXED) - 1), min_size=1, max_size=4),

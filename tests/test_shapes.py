@@ -11,7 +11,7 @@ import pytest
 
 from speclab import (CycleSpectrumGenerator, DimensionMismatch,
                      EnsembleConfig, ExplicitGenerator, LatticeGenerator,
-                     check_spectrum, counterexample_probe,
+                     LevelSetsGenerator, check_spectrum, counterexample_probe,
                      dynamically_simple_spectrum,
                      ensemble_spectrum_report, ensemble_tiling_report,
                      find_extreme_cycles, ft_eval, ft_eval_many,
@@ -118,6 +118,8 @@ def test_wrong_widths_raise_dimension_mismatch(
         "dynamically_simple_spectrum, level -1":
             lambda: dynamically_simple_spectrum(
                 quarter_cantor, find_extreme_cycles(quarter_cantor, 4), -1),
+        "LevelSetsGenerator, level -1":
+            lambda: LevelSetsGenerator(qc).level(-1),
         "EnsembleConfig, window -1":
             lambda: EnsembleConfig(two_digit_family, lat1, samples=2, window=-1),
         # an ensemble of no samples, or of empty words, is refused up front

@@ -205,7 +205,7 @@ LEVEL_NAMES = {"DEFAULT_TARGET", "DEFAULT_MAX_DEPTH", "TruncationPolicy",
                "DEFAULT_POLICY", "ConvolutionSystem", "self_affine",
                "periodic_word", "random_word", "general_product",
                "level_word_sums", "_atom_count", "lambda_word_values",
-               "lambda_n"}
+               "lambda_n", "_level_set"}
 
 
 def _defined(tree) -> set[str]:
@@ -252,3 +252,28 @@ def test_one_exact_level_layer_without_object_arrays():
                           if name in _defined(ast.parse(path.read_text())))
              for name in LEVEL_NAMES}
     assert homes == {name: ["levels.py"] for name in LEVEL_NAMES}
+
+
+def test_one_level_set_construction():
+    # every frequency level is levels._level_set, Lambda_n + R_1^T...R_n^T S:
+    # lambda_n, the cycle spectrum and the generators' one level() body call
+    # it, and cycles, spectra and cli form no level set of their own: they
+    # take no R^T (the cycle fixed-point solve aside) and sum no level words
+    own = [f"{name}:{node.lineno} {f.name}"
+           for name in ("cycles.py", "spectra.py", "cli.py")
+           for f in ast.walk(ast.parse((SRC / name).read_text()))
+           if isinstance(f, ast.FunctionDef) and f.name != "fixed_point_of_word"
+           for node in ast.walk(f) if isinstance(node, ast.Call)
+           and _dotted(node.func).split(".")[-1] in ("transpose",
+                                                      "level_word_sums")]
+    assert own == [], f"level sets formed outside levels._level_set: {own}"
+    callers = {f.name for path in sorted(SRC.glob("*.py"))
+               for f in ast.walk(ast.parse(path.read_text()))
+               if isinstance(f, ast.FunctionDef)
+               for node in ast.walk(f) if isinstance(node, ast.Call)
+               and _dotted(node.func) == "_level_set"}
+    assert callers == {"lambda_n", "dynamically_simple_spectrum", "level"}
+    from speclab.spectra import CycleSpectrumGenerator, LevelSetsGenerator
+    assert CycleSpectrumGenerator.level is LevelSetsGenerator.level
+    # the cycle-point helper of the old Horner loop stays gone
+    assert _names_in_package({"cycle_points"}) == []

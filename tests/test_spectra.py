@@ -224,6 +224,8 @@ def test_level_sets_generator_matches_lambda_n(quarter_cantor_system):
     gen = LevelSetsGenerator(quarter_cantor_system)
     assert gen.level(3).tolist() == [[v[0]] for v in
                                      lambda_n(quarter_cantor_system, 3)]
+    # level 0 is Lambda_0 = {0}, as for the cycle spectrum
+    assert gen.level(0).tolist() == [[0]]
 
 
 def test_level_recursion_for_level_sets(quarter_cantor_system, two_digit_family):
