@@ -21,11 +21,11 @@ print(f"sampled words (seeded, reproducible): {words}")
 
 print("\nthe classic non-spectral word, probed at xi = 1/2:")
 rep = counterexample_probe(family, (0,) + (1,) * 19, gen, [0.5], window=200)
-print(f"  Q(1/2) = {rep.rows[0][1]:.5f} (limit 1/9 = {1/9:.5f}), "
+print(f"  Q(1/2) = {rep.rows[0].q:.5f} (limit 1/9 = {1/9:.5f}), "
       f"verdict: {rep.verdict}")
 
 rep = counterexample_probe(family, (0,) * 20, gen, [0.5], window=200)
-print(f"  all-zero word instead: Q(1/2) = {rep.rows[0][1]:.5f}, "
+print(f"  all-zero word instead: Q(1/2) = {rep.rows[0].q:.5f}, "
       f"verdict: {rep.verdict}")
 
 print("\ntiling side: every word's transform vanishes on the nonzero")

@@ -19,6 +19,7 @@ array or a transform, and ``cycles`` for the float containment radius.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -165,9 +166,14 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload) -> None:
+    """payload as JSON with sorted keys; a report dataclass is its fields."""
     path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               default=str) + "\n")
+                               default=_json_value) + "\n")
+
+
+def _json_value(obj):
+    return dataclasses.asdict(obj) if dataclasses.is_dataclass(obj) else str(obj)
 
 
 def _write_lines(path: Path, lines) -> None:
@@ -258,7 +264,7 @@ def cmd_check(args) -> int:
                             pol=_policy(args))
     report.params["cli"] = _effective(args)
     out = _out_dir(args)
-    _write_json(out / "check_report.json", report.to_dict())
+    _write_json(out / "check_report.json", report)
     _write_lines(out / "check_qsweep.csv", report.csv_rows())
     print(f"Q sweep: min={report.min_q:.6f} max={report.max_q:.6f} "
           f"-> {'pass' if report.passed else 'FAIL'}")
@@ -299,7 +305,8 @@ def cmd_quasiproduct(args) -> int:
                "triple": {"R": [list(r) for r in big.R.rows],
                           "B": [list(b) for b in big.B.vectors],
                           "L": [list(l) for l in big.L.vectors]},
-               "residual": big.residual, "passed": big.status == "verified"}
+               # build_quasi_product raised VerificationFailed otherwise
+               "residual": big.residual, "passed": True}
     _write_json(_out_dir(args) / "quasiproduct_report.json", payload)
     print(f"assembled {big.size}-digit triple on R^{big.dim}, "
           f"residual {big.residual:.3g}")
@@ -318,7 +325,7 @@ def _ensemble(args, name: str, triples, gen, run, summary, **kw) -> int:
     rep = run(cfg)
     rep.config["cli"] = _effective(args)
     out = _out_dir(args)
-    _write_json(out / f"{name}_report.json", rep.to_dict())
+    _write_json(out / f"{name}_report.json", rep)
     _write_lines(out / f"{name}_samples.csv", rep.csv_rows())
     print(summary(rep))
     for note in rep.notes:
@@ -351,8 +358,8 @@ def cmd_tiling(args) -> int:
         sysm = _parse_system(obj.get("system", obj), args.tol)
         rep = lattice_tiling_check(sysm, _numeric_array(obj.get("lattice", 1)),
                                    window=args.window, pol=_policy(args))
-        payload = {"config": _effective(args), "report": rep.to_dict()}
-        _write_json(_out_dir(args) / "tiling_report.json", payload)
+        _write_json(_out_dir(args) / "tiling_report.json",
+                    {"config": _effective(args), "report": rep})
         print(f"tiling check: {'pass' if rep.passed else 'FAIL'} "
               f"(max off-lattice mass {rep.max_offlattice_mass:.3g})")
         return 0 if rep.passed else 2
@@ -379,11 +386,10 @@ def cmd_probe(args) -> int:
                                _numeric_array(obj["probes"]),
                                window=args.window, pol=_policy(args),
                                tail=sysm.tail)
-    payload = rep.to_dict()
-    payload["config"]["cli"] = _effective(args)
-    _write_json(_out_dir(args) / "probe_report.json", payload)
+    rep.config["cli"] = _effective(args)
+    _write_json(_out_dir(args) / "probe_report.json", rep)
     print(f"verdict: {rep.verdict} "
-          f"(min Q {min(r[1] for r in rep.rows):.4f}, threshold {rep.threshold})")
+          f"(min Q {min(r.q for r in rep.rows):.4f}, threshold {rep.threshold})")
     return 0 if rep.verdict == "consistent" else 2
 
 

@@ -22,8 +22,9 @@ from .linalg import is_complete_residue_set
 from .levels import DEFAULT_POLICY, TruncationPolicy, random_word
 from .measures import _as_basis, _as_points
 from .quasiproduct import _require_tiling_window, lattice_tiling_check
-from .spectra import (SpectrumGenerator, _grid_points, _q_grid, _require_dim,
-                      _require_window, check_spectrum, window_notes)
+from .spectra import (QPoint, SpectrumGenerator, _grid_points, _q_grid,
+                      _q_rows, _require_dim, _require_window, check_spectrum,
+                      window_notes)
 from .triples import HadamardTriple
 
 
@@ -66,11 +67,11 @@ class EnsembleConfig:
         _require_dim(self.triples[0].dim, self.generator)
         _require_window(self.window)
         if min(self.samples, self.word_length) < 1:
-            raise DimensionMismatch(
+            raise InvalidInput(
                 f"samples and word_length must be >= 1, got {self.samples} "
                 f"and {self.word_length}")
         if self.seed < 0:
-            raise DimensionMismatch(f"seed must be >= 0, got {self.seed}")
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
 
     def echo(self) -> dict:
         return {
@@ -94,11 +95,6 @@ class SampleVerdict:
     max_q: float
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {"index": self.index, "word": list(self.word),
-                "passed": self.passed, "min_q": self.min_q,
-                "max_q": self.max_q, "error": self.error}
-
 
 @dataclass
 class EnsembleReport:
@@ -111,21 +107,8 @@ class EnsembleReport:
     min_q_p5: float
     failing_words: list[tuple[int, ...]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-
-    @property
-    def error_counts(self) -> dict[str, int]:
-        """Samples that raised, counted by exception type name."""
-        return dict(sorted(Counter(v.error.split(":", 1)[0]
-                                   for v in self.verdicts if v.error).items()))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "config": self.config,
-                "pass_fraction": self.pass_fraction, "notes": self.notes,
-                "min_q_min": self.min_q_min,
-                "min_q_median": self.min_q_median, "min_q_p5": self.min_q_p5,
-                "failing_words": [list(w) for w in self.failing_words],
-                "error_counts": self.error_counts,
-                "verdicts": [v.to_dict() for v in self.verdicts]}
+    # samples that raised, counted by exception type name
+    error_counts: dict[str, int] = field(default_factory=dict)
 
     def csv_rows(self) -> list[str]:
         lines = ["index,word,min_q,max_q,passed,error"]
@@ -181,6 +164,8 @@ def _aggregate(kind: str, cfg: EnsembleConfig,
     return EnsembleReport(
         kind=kind, config=cfg.echo(), verdicts=verdicts,
         pass_fraction=sum(v.passed for v in verdicts) / len(verdicts),
+        error_counts=dict(sorted(Counter(v.error.split(":", 1)[0]
+                                         for v in verdicts if v.error).items())),
         min_q_min=min(min_qs_sorted), min_q_median=statistics.median(min_qs_sorted),
         min_q_p5=p5,
         failing_words=[v.word for v in verdicts if not v.passed])
@@ -219,17 +204,10 @@ def ensemble_tiling_report(cfg: EnsembleConfig, basis,
 @dataclass
 class ProbeReport:
     word: tuple[int, ...]
-    rows: list  # (xi, q, terms, q_bound)
+    rows: list[QPoint]
     verdict: str
     threshold: float
     config: dict
-
-    def to_dict(self) -> dict:
-        return {"word": list(self.word), "verdict": self.verdict,
-                "threshold": self.threshold, "config": self.config,
-                "rows": [{"xi": x.tolist(), "q": q,
-                          "terms": t, "q_bound": b}
-                         for (x, q, t, b) in self.rows]}
 
 
 def counterexample_probe(triples: Sequence[HadamardTriple], word,
@@ -247,7 +225,7 @@ def counterexample_probe(triples: Sequence[HadamardTriple], word,
     sys = random_word(triples, tuple(int(x) for x in word), tail=tail)
     pts = _as_points(sys.dim, probes, "'probes'")
     q, slack, terms = _q_grid(sys, gen, pts, window, pol)
-    rows = [(xi, float(qi), terms, float(si)) for xi, qi, si in zip(pts, q, slack)]
+    rows = _q_rows(pts, q, slack, terms)
     threshold = 1.0 - 10.0 * q_slack
     verdict = "NonSpectralEvidence" if q.min() < threshold else "consistent"
     return ProbeReport(tuple(int(x) for x in word), rows, verdict, threshold,

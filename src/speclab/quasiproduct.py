@@ -13,7 +13,7 @@ statistics to a single deterministic measure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -263,14 +263,9 @@ class TilingReport:
     window: int
     tol: float
     checked: int
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed,
-                "max_offlattice_mass": self.max_offlattice_mass,
-                "worst_point": list(self.worst_point), "window": self.window,
-                "tol": self.tol, "checked": self.checked,
-                "note": "certifies measure tiling (translates sum to "
-                        "Lebesgue); set tiling is only consistent"}
+    note: str = field(default="certifies measure tiling (translates sum to "
+                              "Lebesgue); set tiling is only consistent",
+                      init=False)
 
 
 def _require_tiling_window(window: int) -> None:

@@ -110,6 +110,7 @@ class LatticeGenerator(SpectrumGenerator):
         self.basis = _as_basis(self.dim, basis)
 
     def level(self, n: int) -> np.ndarray:
+        _require_window(n)
         rng = np.arange(-n, n + 1)
         coords = np.array(list(itertools.product(rng, repeat=self.dim)),
                           dtype=float)
@@ -321,6 +322,12 @@ class QPoint:
     q_bound: float
 
 
+def _q_rows(pts: np.ndarray, q, slack, terms: int) -> list[QPoint]:
+    """One QPoint per point of a Q sweep, as every report lists them."""
+    return [QPoint(tuple(map(float, xi)), float(qi), terms, float(si))
+            for xi, qi, si in zip(pts, q, slack)]
+
+
 @dataclass
 class AnalysisReport:
     """Result of a grid sweep with every knob echoed for reproducibility."""
@@ -332,13 +339,6 @@ class AnalysisReport:
     max_q: float = math.nan
     passed: bool = False
     notes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": self.params,
-                "min_q": self.min_q, "max_q": self.max_q,
-                "passed": self.passed, "notes": self.notes,
-                "rows": [{"xi": list(r.xi), "q": r.q, "terms": r.terms,
-                          "q_bound": r.q_bound} for r in self.rows]}
 
     def csv_rows(self) -> list[str]:
         dim = len(self.rows[0].xi) if self.rows else 1
@@ -363,19 +363,16 @@ def check_spectrum(sys: ConvolutionSystem, gen: SpectrumGenerator, grid,
     """
     grid = _grid_points(sys.dim, grid)
     q, slack, terms = _q_grid(sys, gen, grid, window, pol)
-    rows = [QPoint(tuple(map(float, grid[i])), float(q[i]), terms, float(slack[i]))
-            for i in range(len(grid))]
-    report = AnalysisReport(
+    return AnalysisReport(
         kind="spectrum_check",
         params={"generator": gen.describe(), "window": window,
                 "eps_complete": eps_complete, "eps_orth": eps_orth,
                 "grid_points": len(grid),
                 "policy": asdict(pol)},
-        rows=rows,
+        rows=_q_rows(grid, q, slack, terms),
         min_q=float(q.min()), max_q=float(q.max()),
         passed=bool(q.min() >= 1 - eps_complete and q.max() <= 1 + eps_orth),
         notes=window_notes(gen, window, float(q.min()), eps_complete))
-    return report
 
 
 def orthogonality_check(sys: ConvolutionSystem, gen: SpectrumGenerator,
@@ -389,6 +386,8 @@ def orthogonality_check(sys: ConvolutionSystem, gen: SpectrumGenerator,
     """
     _require_dim(sys.dim, gen)
     _require_window(window)
+    if max_pairs < 1:
+        raise InvalidInput(f"max_pairs must be >= 1, got {max_pairs}")
     lam = gen.level(window)
     n = len(lam)
     if n < 2:

@@ -141,7 +141,7 @@ def test_c06_counterexample_probe(two_digit_family):
     rep = counterexample_probe(two_digit_family, (0,) + (1,) * 19,
                                LatticeGenerator([[1]]), [0.5], window=200,
                                pol=DEPTH60)
-    q = rep.rows[0][1]
+    q = rep.rows[0].q
     closed = oracles.badword_lattice_q(0.5, 200)
     ok = (0.08 <= q <= 0.13 and abs(q - closed) < 5e-4
           and rep.verdict == "NonSpectralEvidence")
@@ -163,7 +163,7 @@ def test_c07_ensemble_spectrality(two_digit_family):
     flat = counterexample_probe(two_digit_family, (0,) * 20,
                                 LatticeGenerator([[1]]),
                                 np.arange(32) / 32, window=64)
-    flat_min_q = min(r[1] for r in flat.rows)
+    flat_min_q = min(r.q for r in flat.rows)
     ok = (rep.pass_fraction >= 0.95 and flat_min_q >= 0.995 and elapsed < 300)
     _line("ensemble spectrality rate", ok,
           f"pass fraction {rep.pass_fraction:.3f}, flat-word minQ "

@@ -4,11 +4,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from speclab import general_product, triple
+from speclab import (ExplicitGenerator, check_spectrum, general_product,
+                     self_affine, triple)
 from speclab.cli import _COMMANDS, _parse_system, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -376,6 +378,75 @@ def test_probe_command(tmp_path):
     rep = json.loads((out / "probe_report.json").read_text())
     assert rep["verdict"] == "NonSpectralEvidence"
     assert 0.08 <= rep["rows"][0]["q"] <= 0.13
+
+
+def test_check_command_explicit_generator(tmp_path, capsys):
+    # explicit points take JSON numbers and "p/q" strings; a missing 'points'
+    # field and an unknown kind are refused with one line and no report
+    qc = self_affine(triple(4, [0, 2], [0, 1]))
+    lib = check_spectrum(qc, ExplicitGenerator([[0], [0.5], [4]]), 4, window=8)
+    runs = (({"kind": "explicit", "points": [[0], ["1/2"], [4]]},
+             0 if lib.passed else 2, None),
+            ({"kind": "explicit"}, 1, "explicit generator needs 'points'"),
+            ({"kind": "bogus"}, 1, "unknown generator kind 'bogus'"))
+    for k, (generator, code, message) in enumerate(runs):
+        cfg = _write(tmp_path, f"check{k}.json",
+                     {"system": QC_SYSTEM, "generator": generator})
+        out = tmp_path / f"o{k}"
+        assert main(["check", "--input", cfg, "--out", str(out),
+                     "--grid", "4"]) == code
+        err = capsys.readouterr().err
+        if message is None:
+            rep = json.loads((out / "check_report.json").read_text())
+            assert rep["params"]["generator"] == {"kind": "explicit", "count": 3}
+            assert rep["rows"] == json.loads(json.dumps(asdict(lib)))["rows"]
+        else:
+            assert message in err and err.count("\n") == 1, err
+            assert not out.exists()
+
+
+ROW_KEYS = {"xi", "q", "terms", "q_bound"}
+ENSEMBLE_KEYS = {"kind", "config", "pass_fraction", "notes", "min_q_min",
+                 "min_q_median", "min_q_p5", "failing_words", "error_counts",
+                 "verdicts"}
+VERDICT_KEYS = {"index", "word", "passed", "min_q", "max_q", "error"}
+
+
+def test_report_json_keys_are_the_pinned_schema(tmp_path):
+    # the encoder writes each report dataclass as its fields, so a renamed or
+    # added field changes the report files; these are their key sets
+    small = ["--samples", "2", "--word-length", "3", "--window", "2",
+             "--pass-threshold", "0"]
+    runs = {
+        "check": ({"system": QC_SYSTEM, "generator": {"kind": "lattice"}},
+                  ["--grid", "4", "--window", "2"],
+                  {"kind", "params", "min_q", "max_q", "passed", "notes",
+                   "rows"}),
+        "random": ({"triples": FAMILY}, small, ENSEMBLE_KEYS),
+        "tiling": ({"triples": FAMILY, "lattice": 1}, small, ENSEMBLE_KEYS),
+        "probe": ({"triples": FAMILY, "word": [0, 1], "probes": [0.5]},
+                  ["--window", "2"],
+                  {"word", "verdict", "threshold", "config", "rows"}),
+    }
+    for command, (payload, extra, keys) in runs.items():
+        cfg = _write(tmp_path, f"{command}.json", payload)
+        out = tmp_path / command
+        main([command, "--input", cfg, "--out", str(out), *extra])
+        rep = json.loads((out / f"{command}_report.json").read_text())
+        assert set(rep) == keys, command
+        if "rows" in keys:
+            assert all(set(r) == ROW_KEYS for r in rep["rows"]), command
+        if "verdicts" in keys:
+            assert rep["verdicts"] and all(
+                set(v) == VERDICT_KEYS for v in rep["verdicts"]), command
+    cfg = _write(tmp_path, "system.json", dict(QC_SYSTEM, lattice=1))
+    main(["tiling", "--input", cfg, "--out", str(tmp_path / "system"),
+          "--window", "2"])
+    rep = json.loads((tmp_path / "system" / "tiling_report.json").read_text())
+    assert set(rep) == {"config", "report"}
+    assert set(rep["report"]) == {"passed", "max_offlattice_mass",
+                                  "worst_point", "window", "tol", "checked",
+                                  "note"}
 
 
 def test_reports_stay_inside_out_dir(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -99,7 +101,7 @@ def test_summary_statistics_are_ordered(two_digit_family):
     assert rep.min_q_min <= rep.min_q_p5 <= rep.min_q_median
     assert len(rep.failing_words) == sum(not v.passed for v in rep.verdicts)
     assert len(rep.notes) == 1 and "outside the window" in rep.notes[0]
-    assert rep.to_dict()["notes"] == rep.notes
+    assert asdict(rep)["notes"] == rep.notes
 
 
 def test_c07_rate_with_exact_q(two_digit_family):
@@ -173,7 +175,7 @@ def test_probe_bad_word(two_digit_family):
     rep = counterexample_probe(two_digit_family, (0,) + (1,) * 19,
                                LatticeGenerator([[1]]), [0.5], window=200)
     assert rep.verdict == "NonSpectralEvidence"
-    q = rep.rows[0][1]
+    q = rep.rows[0].q
     assert q == pytest.approx(oracles.badword_lattice_q(0.5, 200), abs=1e-6)
     assert 0.08 <= q <= 0.13
 
@@ -182,13 +184,13 @@ def test_probe_flat_word(two_digit_family):
     rep = counterexample_probe(two_digit_family, (0,) * 20,
                                LatticeGenerator([[1]]), [0.5], window=200)
     assert rep.verdict == "consistent"
-    assert rep.rows[0][1] == pytest.approx(1.0, abs=5e-3)
+    assert rep.rows[0].q == pytest.approx(1.0, abs=5e-3)
 
 
 def test_probe_at_zero_is_safe(two_digit_family):
     rep = counterexample_probe(two_digit_family, (0,) + (1,) * 19,
                                LatticeGenerator([[1]]), [0.0], window=64)
-    assert rep.rows[0][1] >= 1 - 1e-6
+    assert rep.rows[0].q >= 1 - 1e-6
     assert rep.verdict == "consistent"
 
 

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from speclab import (ConvolutionSystem, SpeclabError, TruncationPolicy, ft_eval,
-                     ft_eval_many, ft_partial_eval, ft_tail_eval,
-                     find_tiling_lattice, general_product, no_overlap_assess,
+from speclab import (ConvolutionSystem, EnsembleConfig, LatticeGenerator,
+                     SpeclabError, TruncationPolicy, ensemble_spectrum_report,
+                     ensemble_tiling_report, ft_eval, ft_eval_many,
+                     ft_partial_eval, ft_tail_eval, find_tiling_lattice,
+                     general_product, no_overlap_assess, orthogonality_check,
                      periodic_word, random_word, sample_support, sample_words,
                      self_affine, support_bbox, triple)
 
@@ -163,9 +165,22 @@ def test_bad_input_is_a_speclab_error(two_digit_family):
     # library callers catch every refusal as a SpeclabError; the ValueError
     # it also is keeps older `except ValueError` callers working
     word = random_word(two_digit_family, (0,) + (1,) * 12)
+    lat1 = LatticeGenerator(1)
+    fam = tuple(two_digit_family)
+    square = [[0, 0], [1, 0], [0, 1], [1, 1]]
     cases = [
-        ("unknown system kind",
-         lambda: ConvolutionSystem("bogus", tuple(two_digit_family))),
+        ("unknown system kind", lambda: ConvolutionSystem("bogus", fam)),
+        ("unknown tail convention",
+         lambda: ConvolutionSystem("random_word", fam, (0, 1), "cyclic")),
+        ("need at least one triple", lambda: ConvolutionSystem("general", ())),
+        ("triples have mixed dimensions", lambda: ConvolutionSystem(
+            "general", (fam[0], triple([[2, 0], [0, 2]], square, square)))),
+        ("word digits out of range",
+         lambda: ConvolutionSystem("random_word", fam, (0, 2))),
+        ("must share R, L, and digit count", lambda: ConvolutionSystem(
+            "random_word", (fam[0], triple(4, [0, 2], [0, 1])), (0, 1))),
+        ("must share R, L, and digit count", lambda: ConvolutionSystem(
+            "random_word", (fam[0], triple(2, [0, 1], [0, 3])), (0, 1))),
         ("n_letters", lambda: sample_words(0, 5, 1)),
         # no sample pairs and no deeper level are refused, not estimated
         # from 0 pairs or left to numpy
@@ -178,6 +193,24 @@ def test_bad_input_is_a_speclab_error(two_digit_family):
         # an index cap below 1 would try no lattice, not even Z^d
         ("max_index must be >= 1",
          lambda: find_tiling_lattice(word, window=4, max_index=0)),
+        # a count below 1 is refused, not left to numpy or to an empty sweep
+        ("count must be >= 1", lambda: sample_support(word, 2, -1)),
+        ("count must be >= 1", lambda: sample_support(word, 2, 0)),
+        ("max_pairs must be >= 1",
+         lambda: orthogonality_check(word, lat1, 4, max_pairs=0)),
+        ("level must be >= 0", lambda: ft_partial_eval(word, -1, 0.3)),
+        # an ensemble of no samples, of empty words or of no seed stream is
+        # refused before any sample runs
+        ("samples and word_length must be >= 1", lambda: ensemble_spectrum_report(
+            EnsembleConfig(two_digit_family, lat1, samples=0))),
+        ("samples and word_length must be >= 1", lambda: ensemble_tiling_report(
+            EnsembleConfig(two_digit_family, lat1, samples=0), 1)),
+        ("samples and word_length must be >= 1", lambda: ensemble_spectrum_report(
+            EnsembleConfig(two_digit_family, lat1, samples=2, word_length=0))),
+        ("samples and word_length must be >= 1", lambda: ensemble_tiling_report(
+            EnsembleConfig(two_digit_family, lat1, samples=2, word_length=0), 1)),
+        ("seed must be >= 0",
+         lambda: EnsembleConfig(two_digit_family, lat1, samples=2, seed=-1)),
     ]
     for message, call in cases:
         with pytest.raises(SpeclabError, match=message) as caught:

@@ -6,13 +6,15 @@ basis is d x d, and a bare number is a 1-D basis. Every other width, and a
 generator of another dimension than the system, raises DimensionMismatch.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from speclab import (CycleSpectrumGenerator, DimensionMismatch,
                      EnsembleConfig, ExplicitGenerator, LatticeGenerator,
-                     LevelSetsGenerator, check_spectrum, counterexample_probe,
-                     dynamically_simple_spectrum,
+                     LevelSetsGenerator, ProductGenerator, check_spectrum,
+                     counterexample_probe, dynamically_simple_spectrum,
                      ensemble_spectrum_report, ensemble_tiling_report,
                      find_extreme_cycles, ft_eval, ft_eval_many,
                      ft_partial_eval, ft_tail_eval, lattice_tiling_check,
@@ -120,23 +122,11 @@ def test_wrong_widths_raise_dimension_mismatch(
                 quarter_cantor, find_extreme_cycles(quarter_cantor, 4), -1),
         "LevelSetsGenerator, level -1":
             lambda: LevelSetsGenerator(qc).level(-1),
+        "LatticeGenerator, level -1": lambda: LatticeGenerator(1).level(-1),
+        "ProductGenerator of lattices, level -1":
+            lambda: ProductGenerator(lat1, lat1).level(-1),
         "EnsembleConfig, window -1":
             lambda: EnsembleConfig(two_digit_family, lat1, samples=2, window=-1),
-        # an ensemble of no samples, or of empty words, is refused up front
-        "ensemble_spectrum_report, samples 0":
-            lambda: ensemble_spectrum_report(
-                EnsembleConfig(two_digit_family, lat1, samples=0)),
-        "ensemble_tiling_report, samples 0":
-            lambda: ensemble_tiling_report(
-                EnsembleConfig(two_digit_family, lat1, samples=0), 1),
-        "ensemble_spectrum_report, word_length 0":
-            lambda: ensemble_spectrum_report(
-                EnsembleConfig(two_digit_family, lat1, samples=2, word_length=0)),
-        "ensemble_tiling_report, word_length 0":
-            lambda: ensemble_tiling_report(
-                EnsembleConfig(two_digit_family, lat1, samples=2, word_length=0), 1),
-        "EnsembleConfig, seed -1":
-            lambda: EnsembleConfig(two_digit_family, lat1, samples=2, seed=-1),
     }
     for name, call in cases.items():
         with pytest.raises(DimensionMismatch):
@@ -182,8 +172,8 @@ def test_accepted_shapes_give_the_canonical_values(
         == qp_eval(lebesgue_2d, lat2, [[0.3, 0.6]], window=2)
 
     flat = check_spectrum(qc, lat1, [0.1, 0.6], window=8)
-    assert check_spectrum(qc, lat1, [[0.1], [0.6]], window=8).to_dict() \
-        == flat.to_dict()
+    assert asdict(check_spectrum(qc, lat1, [[0.1], [0.6]], window=8)) \
+        == asdict(flat)
     assert [r.xi for r in flat.rows] == [(0.1,), (0.6,)]
     assert transfer_apply(quarter_cantor, _cos, [0.1, 0.6]).tolist() \
         == transfer_apply(quarter_cantor, _cos, [[0.1], [0.6]]).tolist()
@@ -198,8 +188,8 @@ def test_accepted_shapes_give_the_canonical_values(
     assert LatticeGenerator(2).basis.tolist() == [[2.0]]
     assert ExplicitGenerator([0, 1]).points.tolist() == [[0.0], [1.0]]
 
-    probes = [counterexample_probe(two_digit_family, [0, 1], lat1, p,
-                                   window=16).to_dict()
+    probes = [asdict(counterexample_probe(two_digit_family, [0, 1], lat1, p,
+                                          window=16))
               for p in (0.5, [0.5], [[0.5]])]
     assert probes[0] == probes[1] == probes[2]
-    assert probes[0]["rows"][0]["xi"] == [0.5]
+    assert probes[0]["rows"][0]["xi"] == (0.5,)

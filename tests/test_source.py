@@ -29,6 +29,19 @@ def test_bad_input_raises_a_speclab_error():
     assert found == [], f"bare ValueErrors raised in src/speclab: {found}"
 
 
+def test_report_json_has_one_schema():
+    # the CLI writes a report dataclass as its fields, so a hand-written
+    # to_dict would be a second copy of the schema; ExtremeCycle.to_dict
+    # alone stays, as it writes the computed period and exact "p/q" points
+    found = sorted(f"{path.stem}.{node.name}"
+                   for path in SRC.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                   if isinstance(node, ast.ClassDef)
+                   and any(isinstance(f, ast.FunctionDef) and f.name == "to_dict"
+                           for f in node.body))
+    assert found == ["cycles.ExtremeCycle"]
+
+
 def _dotted(node) -> str:
     """`np.linalg.inv` for the callee of a call, or '' if it is no name."""
     if isinstance(node, ast.Attribute):

@@ -203,6 +203,20 @@ def test_orthogonality_checks(quarter_cantor_system, quarter_cantor,
     assert orthogonality_check(lebesgue_system, ExplicitGenerator([0]), 1) == 0.0
 
 
+def test_orthogonality_check_samples_pairs_past_max_pairs(quarter_cantor_system):
+    # 13 lattice points make 78 pairs, so max_pairs 4 checks a seeded sample
+    # of pairs: its max is |mu^| at one of the differences 1..12, and this
+    # seed's sample misses the exhaustive max
+    gen = LatticeGenerator(1)
+    sampled = orthogonality_check(quarter_cantor_system, gen, 6, max_pairs=4,
+                                  seed=1)
+    assert sampled == orthogonality_check(quarter_cantor_system, gen, 6,
+                                          max_pairs=4, seed=1)
+    exact = [oracles.scale4_ft_abs(d) for d in range(1, 13)]
+    assert min(abs(sampled - v) for v in exact) <= 1e-9
+    assert sampled < orthogonality_check(quarter_cantor_system, gen, 6) - 0.1
+
+
 def test_transfer_operator_constants(quarter_cantor):
     grid = uniform_grid(64, 1)
     ones = transfer_apply(quarter_cantor, lambda p: np.ones(len(p)), grid)
